@@ -464,21 +464,11 @@ fn powermap_jsonl(config: &NetworkConfig, report: &Report) -> String {
              \"x\":{},\"y\":{},\"total_energy_j\":{},\"power_w\":{}}}\n",
             coords.first().copied().unwrap_or(0),
             coords.get(1).copied().unwrap_or(0),
-            fmt_json_f64(energy),
-            fmt_json_f64(report.node_power(node).0),
+            orion_obs::json_f64(energy),
+            orion_obs::json_f64(report.node_power(node).0),
         ));
     }
     out
-}
-
-/// Full-precision JSON number (unlike the rounded [`json_f64`] used
-/// for report summaries); non-finite values become `null`.
-fn fmt_json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
 }
 
 fn render_human(preset: &str, rate: f64, report: &Report, faults: Option<(usize, u64)>) -> String {

@@ -2,10 +2,10 @@
 //!
 //! A [`RunCheckpoint`] captures *everything* a run needs to continue
 //! bit-identically: the network snapshot
-//! ([`Network::snapshot`](orion_sim::Network::snapshot)), the workload
-//! RNG stream, traffic-pattern and trace cursors, the measurement
-//! phase and tagged-packet budget, backlog samples and the invariant
-//! auditor's energy baseline. The contract — pinned by tests in
+//! ([`ShardedNetwork::snapshot`](orion_shard::ShardedNetwork::snapshot)),
+//! the workload RNG stream, traffic-pattern and trace cursors, the
+//! measurement phase and tagged-packet budget, backlog samples and the
+//! invariant auditor's energy baseline. The contract — pinned by tests in
 //! [`run`](crate::run) — is:
 //!
 //! > resume(checkpoint(run at cycle C)) ≡ the uninterrupted run,
@@ -25,8 +25,14 @@ use orion_sim::SnapshotError;
 use crate::config::ConfigError;
 use crate::report::Report;
 
-/// Version of the [`RunCheckpoint`] byte encoding.
-pub const RUN_CHECKPOINT_VERSION: u32 = 1;
+/// Version of the [`RunCheckpoint`] byte encoding; any other version
+/// decodes as [`SnapshotError::WrongVersion`].
+///
+/// Version history: 1 = network image framed with the engine kind
+/// (v0.8.0); 2 = the [`ShardedNetwork`](orion_shard::ShardedNetwork)
+/// image alone (topology shape, shard count and bounds, shard engines,
+/// mailboxes).
+pub const RUN_CHECKPOINT_VERSION: u32 = 2;
 
 /// Which phase of the §4.1 measurement discipline a checkpoint was
 /// taken in.
@@ -65,7 +71,8 @@ pub struct RunCheckpoint {
     pub trace_cursor: usize,
     /// The invariant auditor's energy-monotonicity baseline.
     pub auditor_energy: f64,
-    /// The network state image ([`orion_sim::Network::snapshot`]).
+    /// The network state image
+    /// ([`ShardedNetwork::snapshot`](orion_shard::ShardedNetwork::snapshot)).
     pub net: Vec<u8>,
 }
 

@@ -19,13 +19,11 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use orion_net::{FaultSchedule, NodeId, TopologyKind, TraceTraffic, TrafficPattern};
-use orion_obs::{NodeState, ObsSink, Prober};
+use orion_net::{FaultSchedule, NodeId, TraceTraffic, TrafficPattern};
+use orion_obs::{ObsSink, Prober};
 use orion_shard::ShardedNetwork;
-use orion_sim::snapshot::{ByteReader, ByteWriter};
 use orion_sim::{
-    AuditViolation, Component, EngineMode, InvariantAuditor, Network, NetworkSpec, SimStats,
-    SnapshotError, StallDiagnostics, StallKind,
+    AuditViolation, Component, EngineMode, InvariantAuditor, SnapshotError, StallDiagnostics,
 };
 use orion_tech::Joules;
 
@@ -217,9 +215,11 @@ impl Experiment {
     /// Partitions the network across `n` shards (see `orion-shard`
     /// and `docs/SCALING.md`): contiguous node ranges each run their
     /// own engine, exchanging boundary flits through deterministic
-    /// mailboxes. Results are **bit-identical** for every shard count;
-    /// `1` (the default) runs the monolithic engine. Counts outside
-    /// `1..=num_nodes` are rejected as [`ConfigError::InvalidShards`].
+    /// mailboxes. Every run goes through the same
+    /// [`ShardedNetwork`]; `1` (the default) is one shard owning every
+    /// node, and results are **bit-identical** for every shard count.
+    /// Counts outside `1..=num_nodes` are rejected as
+    /// [`ConfigError::InvalidShards`].
     pub fn shards(mut self, n: usize) -> Experiment {
         self.shards = n;
         self
@@ -318,11 +318,7 @@ impl Experiment {
                     .map(|c| c.leakage_power().0)
                     .unwrap_or(0.0),
         );
-        let mut net = if self.shards > 1 {
-            SimNet::Sharded(ShardedNetwork::new(spec, models, self.shards))
-        } else {
-            SimNet::Mono(Network::new(spec, models))
-        };
+        let mut net = ShardedNetwork::new(spec, models, self.shards);
         if let Some(mode) = self.engine {
             net.set_engine_mode(mode);
         }
@@ -345,7 +341,7 @@ impl Experiment {
             }
         });
         let mut prober = observe_opts.as_ref().map(|o| Prober::new(o.sample_every));
-        fn probe_tick(net: &SimNet, prober: &mut Option<Prober>) {
+        fn probe_tick(net: &ShardedNetwork, prober: &mut Option<Prober>) {
             if let Some(p) = prober.as_mut() {
                 if p.due(net.cycle()) {
                     p.record(net.cycle(), &net.node_states());
@@ -470,7 +466,7 @@ impl Experiment {
                     }
                 }
                 if audit_every > 0 && net.cycle().is_multiple_of(audit_every) {
-                    let violations = net.audit(&mut auditor);
+                    let violations = audit(&net, &mut auditor);
                     if !violations.is_empty() {
                         corrupted = Some((violations, net.cycle()));
                         break;
@@ -518,7 +514,7 @@ impl Experiment {
             };
             offered_rate = pattern.total_injection_rate() / nodes.len() as f64;
 
-            let inject = |net: &mut SimNet,
+            let inject = |net: &mut ShardedNetwork,
                           pattern: &mut TrafficPattern,
                           rng: &mut StdRng,
                           tagged_budget: &mut u64| {
@@ -603,7 +599,7 @@ impl Experiment {
                         }
                     }
                     if audit_every > 0 && net.cycle().is_multiple_of(audit_every) {
-                        let violations = net.audit(&mut auditor);
+                        let violations = audit(&net, &mut auditor);
                         if !violations.is_empty() {
                             corrupted = Some((violations, net.cycle()));
                             break;
@@ -639,7 +635,7 @@ impl Experiment {
         // corruption that appeared after the last periodic check must
         // not escape into a published record.
         if audit_every > 0 && corrupted.is_none() {
-            let violations = net.audit(&mut auditor);
+            let violations = audit(&net, &mut auditor);
             if !violations.is_empty() {
                 corrupted = Some((violations, net.cycle()));
             }
@@ -701,7 +697,7 @@ impl Experiment {
         });
 
         let mut report = Report::new(
-            net.stats_owned(),
+            net.stats_merged(),
             energy,
             measured_cycles.max(1),
             self.config.f_clk,
@@ -719,282 +715,13 @@ impl Experiment {
     }
 }
 
-/// The engine behind a run: one monolithic [`Network`], or a
-/// [`ShardedNetwork`] partitioning the same topology across shards
-/// (bit-identical to the monolithic engine by construction; see
-/// `docs/SCALING.md`). The runner drives either through this common
-/// surface and never branches on the engine kind itself. Exactly one
-/// value exists per run, so the variant size skew is irrelevant.
-#[allow(clippy::large_enum_variant)]
-enum SimNet {
-    Mono(Network),
-    Sharded(ShardedNetwork),
-}
-
-/// Network-image frame tag: the snapshot was written by the
-/// monolithic engine.
-const IMAGE_MONO: u8 = 1;
-/// Network-image frame tag: the snapshot was written by the sharded
-/// engine.
-const IMAGE_SHARDED: u8 = 2;
-
-impl SimNet {
-    fn spec(&self) -> &NetworkSpec {
-        match self {
-            SimNet::Mono(n) => n.spec(),
-            SimNet::Sharded(n) => n.spec(),
-        }
-    }
-
-    fn shards(&self) -> u32 {
-        match self {
-            SimNet::Mono(_) => 1,
-            SimNet::Sharded(n) => n.shards() as u32,
-        }
-    }
-
-    fn cycle(&self) -> u64 {
-        match self {
-            SimNet::Mono(n) => n.cycle(),
-            SimNet::Sharded(n) => n.cycle(),
-        }
-    }
-
-    fn step(&mut self) {
-        match self {
-            SimNet::Mono(n) => n.step(),
-            SimNet::Sharded(n) => n.step(),
-        }
-    }
-
-    fn set_engine_mode(&mut self, mode: EngineMode) {
-        match self {
-            SimNet::Mono(n) => n.set_engine_mode(mode),
-            SimNet::Sharded(n) => n.set_engine_mode(mode),
-        }
-    }
-
-    fn skip_idle_cycles(&mut self, target: u64) -> u64 {
-        match self {
-            SimNet::Mono(n) => n.skip_idle_cycles(target),
-            SimNet::Sharded(n) => n.skip_idle_cycles(target),
-        }
-    }
-
-    fn is_drained(&self) -> bool {
-        match self {
-            SimNet::Mono(n) => n.is_drained(),
-            SimNet::Sharded(n) => n.is_drained(),
-        }
-    }
-
-    fn enqueue_packet(&mut self, src: NodeId, dst: NodeId, tagged: bool) {
-        match self {
-            SimNet::Mono(n) => {
-                n.enqueue_packet(src, dst, tagged);
-            }
-            SimNet::Sharded(n) => {
-                n.enqueue_packet(src, dst, tagged);
-            }
-        }
-    }
-
-    fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
-        match self {
-            SimNet::Mono(n) => n.set_fault_schedule(schedule),
-            SimNet::Sharded(n) => n.set_fault_schedule(schedule),
-        }
-    }
-
-    fn set_obs(&mut self, obs: ObsSink) {
-        match self {
-            SimNet::Mono(n) => n.set_obs(obs),
-            SimNet::Sharded(n) => n.set_obs(obs),
-        }
-    }
-
-    fn take_obs(&mut self) -> Option<ObsSink> {
-        match self {
-            SimNet::Mono(n) => n.take_obs(),
-            SimNet::Sharded(n) => n.take_obs(),
-        }
-    }
-
-    fn node_states(&self) -> Vec<NodeState> {
-        match self {
-            SimNet::Mono(n) => n.node_states(),
-            SimNet::Sharded(n) => n.node_states(),
-        }
-    }
-
-    fn check_stall(&self, window: u64) -> Option<StallKind> {
-        match self {
-            SimNet::Mono(n) => n.check_stall(window),
-            SimNet::Sharded(n) => n.check_stall(window),
-        }
-    }
-
-    fn stall_diagnostics(&self, kind: StallKind, window: u64) -> StallDiagnostics {
-        match self {
-            SimNet::Mono(n) => n.stall_diagnostics(kind, window),
-            SimNet::Sharded(n) => n.stall_diagnostics(kind, window),
-        }
-    }
-
-    fn source_backlog(&self) -> usize {
-        match self {
-            SimNet::Mono(n) => n.source_backlog(),
-            SimNet::Sharded(n) => n.source_backlog(),
-        }
-    }
-
-    fn tagged_outstanding(&self) -> u64 {
-        match self {
-            SimNet::Mono(n) => n.stats().tagged_outstanding(),
-            SimNet::Sharded(n) => n.tagged_outstanding(),
-        }
-    }
-
-    fn packets_delivered(&self) -> u64 {
-        match self {
-            SimNet::Mono(n) => n.stats().packets_delivered,
-            SimNet::Sharded(n) => n.packets_delivered(),
-        }
-    }
-
-    fn packets_dropped(&self) -> u64 {
-        match self {
-            SimNet::Mono(n) => n.stats().packets_dropped,
-            SimNet::Sharded(n) => n.packets_dropped(),
-        }
-    }
-
-    /// The run's statistics in monolithic form: a clone for the single
-    /// engine, the deterministic cross-shard merge for the sharded one
-    /// (identical to the clone a single engine would have produced).
-    fn stats_owned(&self) -> SimStats {
-        match self {
-            SimNet::Mono(n) => n.stats().clone(),
-            SimNet::Sharded(n) => n.stats_merged(),
-        }
-    }
-
-    fn reset_measurement(&mut self) {
-        match self {
-            SimNet::Mono(n) => n.reset_measurement(),
-            SimNet::Sharded(n) => n.reset_measurement(),
-        }
-    }
-
-    fn last_progress_cycle(&self) -> u64 {
-        match self {
-            SimNet::Mono(n) => n.last_progress_cycle(),
-            SimNet::Sharded(n) => n.last_progress_cycle(),
-        }
-    }
-
-    fn node_energy(&self, node: usize, component: Component) -> Joules {
-        match self {
-            SimNet::Mono(n) => n.ledger().energy(node, component),
-            SimNet::Sharded(n) => n.node_energy(node, component),
-        }
-    }
-
-    fn link_flits(&self, node: usize, out_port: usize) -> u64 {
-        match self {
-            SimNet::Mono(n) => n.link_flits(node, out_port),
-            SimNet::Sharded(n) => n.link_flits(node, out_port),
-        }
-    }
-
-    /// Runs the invariant audit appropriate to the engine: the
-    /// monolithic auditor walks the network directly; the sharded
-    /// engine audits each shard plus whole-network conservation
-    /// (mailbox flits included), with the energy-monotonicity check
-    /// applied to the deterministically summed total.
-    fn audit(&self, auditor: &mut InvariantAuditor) -> Vec<AuditViolation> {
-        match self {
-            SimNet::Mono(n) => auditor.check(n),
-            SimNet::Sharded(n) => {
-                let mut violations = n.audit();
-                auditor.check_energy(n.total_energy_j(), &mut violations);
-                violations
-            }
-        }
-    }
-
-    /// Serializes the engine state framed with its identity: engine
-    /// kind, topology shape and shard count, then the engine's own
-    /// versioned image. The frame is what lets a resume reject a
-    /// snapshot taken under a different `--shards` or topology as a
-    /// typed mismatch instead of undefined behaviour.
-    fn snapshot(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        let topo = &self.spec().topology;
-        w.u8(match self {
-            SimNet::Mono(_) => IMAGE_MONO,
-            SimNet::Sharded(_) => IMAGE_SHARDED,
-        });
-        w.u8(match topo.kind() {
-            TopologyKind::Torus => 0,
-            TopologyKind::Mesh => 1,
-        });
-        w.u8(topo.dims() as u8);
-        for dim in 0..topo.dims() {
-            w.u32(topo.radix(dim));
-        }
-        w.u32(self.shards());
-        let payload = match self {
-            SimNet::Mono(n) => n.snapshot(),
-            SimNet::Sharded(n) => n.snapshot(),
-        };
-        w.usize(payload.len());
-        w.bytes(&payload);
-        w.into_vec()
-    }
-
-    /// Restores a [`SimNet::snapshot`] image, validating the frame
-    /// against this engine's identity first: a snapshot taken under a
-    /// different engine kind, topology or shard count is a
-    /// [`SnapshotError::Mismatch`] before any state is touched.
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        let mut r = ByteReader::new(bytes);
-        let tag = r.u8()?;
-        let expected_tag = match self {
-            SimNet::Mono(_) => IMAGE_MONO,
-            SimNet::Sharded(_) => IMAGE_SHARDED,
-        };
-        if tag != expected_tag {
-            return Err(SnapshotError::Mismatch(
-                "engine shard mode (monolithic vs sharded image)",
-            ));
-        }
-        let topo = &self.spec().topology;
-        let kind = match topo.kind() {
-            TopologyKind::Torus => 0,
-            TopologyKind::Mesh => 1,
-        };
-        if r.u8()? != kind {
-            return Err(SnapshotError::Mismatch("topology kind"));
-        }
-        if r.u8()? != topo.dims() as u8 {
-            return Err(SnapshotError::Mismatch("topology dimensions"));
-        }
-        for dim in 0..topo.dims() {
-            if r.u32()? != topo.radix(dim) {
-                return Err(SnapshotError::Mismatch("topology radix"));
-            }
-        }
-        if r.u32()? != self.shards() {
-            return Err(SnapshotError::Mismatch("shard count"));
-        }
-        let len = r.usize()?;
-        let payload = r.take_bytes(len)?;
-        match self {
-            SimNet::Mono(n) => n.restore(payload),
-            SimNet::Sharded(n) => n.restore(payload),
-        }
-    }
+/// Runs every invariant check on `net`: the stateless whole-network
+/// and per-shard checks, then the auditor's energy-monotonicity check
+/// on the shard-ordered ledger total.
+fn audit(net: &ShardedNetwork, auditor: &mut InvariantAuditor) -> Vec<AuditViolation> {
+    let mut violations = net.audit();
+    auditor.check_energy(net.total_energy_j(), &mut violations);
+    violations
 }
 
 /// Builds a [`RunCheckpoint`] from the live run state at a cycle
@@ -1010,7 +737,7 @@ fn capture(
     pattern: Option<&TrafficPattern>,
     trace_cursor: usize,
     auditor: &InvariantAuditor,
-    net: &SimNet,
+    net: &ShardedNetwork,
 ) -> RunCheckpoint {
     RunCheckpoint {
         phase,

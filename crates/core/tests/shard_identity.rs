@@ -5,14 +5,18 @@
 //! the golden grid in `differential_identity.rs`) and a 16×16 torus
 //! that actually exercises many-router shards. Checkpoints taken from
 //! a sharded run must resume bit-identically, and a snapshot captured
-//! at one shard count must be a *typed* error — never silent
-//! corruption — when restored at another.
+//! at one shard count or on another topology must be a *typed* error
+//! — never silent corruption — when restored. A checkpoint in an older
+//! encoding is a typed version error, and the durable-checkpoint policy
+//! replays it from cycle 0.
 
+use orion_ckpt::{fnv1a64, run_checkpointed, CheckpointOptions, CKPT_MAGIC, CKPT_SCHEMA_VERSION};
 use orion_core::{
     presets, ConfigError, Experiment, NetworkConfig, Report, RunCheckpoint, RunControl, RunError,
     RunHook, RunResult,
 };
 use orion_net::Topology;
+use orion_sim::snapshot::ByteWriter;
 use orion_sim::{Component, SnapshotError};
 
 const SEED: u64 = 9;
@@ -179,8 +183,8 @@ fn checkpoint_shard_count_mismatch_is_typed() {
         .expect("valid");
     let foreign = stopper.taken.expect("hook captured a checkpoint");
 
-    // A 4-shard image offered to a single-engine run: the frame's
-    // engine tag disagrees before any state is touched.
+    // A 4-shard image offered to a single-shard run: the image's
+    // shard count disagrees before any state is touched.
     match experiment(&cfg, 1).run_with_hook(&mut Passive, Some(foreign.clone())) {
         Err(RunError::Resume(SnapshotError::Mismatch(what))) => {
             assert!(
@@ -191,8 +195,8 @@ fn checkpoint_shard_count_mismatch_is_typed() {
         other => panic!("expected a typed resume mismatch, got {other:?}"),
     }
 
-    // And at a *different* sharded count: engine tags agree, the
-    // recorded shard count does not.
+    // And at another multi-shard count: the recorded shard count
+    // again disagrees.
     match experiment(&cfg, 2).run_with_hook(&mut Passive, Some(foreign)) {
         Err(RunError::Resume(SnapshotError::Mismatch(what))) => {
             assert!(
@@ -219,4 +223,88 @@ fn mono_checkpoint_rejected_by_sharded_run() {
         Err(RunError::Resume(SnapshotError::Mismatch(_))) => {}
         other => panic!("expected a typed resume mismatch, got {other:?}"),
     }
+}
+
+#[test]
+fn checkpoint_from_other_topology_is_typed() {
+    let torus = presets::vc16_onchip();
+    let mut mesh = torus.clone();
+    mesh.topology = Topology::mesh(&[4, 4]).expect("4x4 mesh is valid");
+    for shards in [1usize, 2] {
+        let mut stopper = StopAtFirst {
+            every: 120,
+            taken: None,
+        };
+        experiment(&torus, shards)
+            .run_with_hook(&mut stopper, None)
+            .expect("valid");
+        let foreign = stopper.taken.expect("hook captured a checkpoint");
+        match experiment(&mesh, shards).run_with_hook(&mut Passive, Some(foreign)) {
+            Err(RunError::Resume(SnapshotError::Mismatch(what))) => {
+                assert!(
+                    what.contains("topology"),
+                    "mismatch should name the topology, got: {what}"
+                );
+            }
+            other => panic!("expected a typed resume mismatch, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn version_one_checkpoint_is_typed_and_replays_from_cycle_zero() {
+    const OWNER: u64 = 0x0e10;
+    let cfg = presets::vc16_onchip();
+    let mut stopper = StopAtFirst {
+        every: 120,
+        taken: None,
+    };
+    experiment(&cfg, 1)
+        .run_with_hook(&mut stopper, None)
+        .expect("valid");
+    let mut payload = stopper
+        .taken
+        .expect("hook captured a checkpoint")
+        .to_bytes();
+    payload[..4].copy_from_slice(&1u32.to_le_bytes());
+    match RunCheckpoint::from_bytes(&payload) {
+        Err(SnapshotError::WrongVersion(1)) => {}
+        other => panic!("expected a typed version error, got {other:?}"),
+    }
+
+    // The same payload in an intact checkpoint file: the framing and
+    // checksum validate, the payload version does not.
+    let mut w = ByteWriter::new();
+    w.bytes(&CKPT_MAGIC);
+    w.u32(CKPT_SCHEMA_VERSION);
+    w.u64(OWNER);
+    w.usize(payload.len());
+    w.bytes(&payload);
+    let mut file = w.into_vec();
+    let checksum = fnv1a64(&file);
+    file.extend_from_slice(&checksum.to_le_bytes());
+    let path = std::env::temp_dir().join(format!(
+        "orion-shard-identity-{}-v1.ckpt",
+        std::process::id()
+    ));
+    std::fs::write(&path, &file).expect("write checkpoint file");
+
+    let baseline = experiment(&cfg, 1).run().expect("valid");
+    let out = run_checkpointed(
+        experiment(&cfg, 1),
+        &CheckpointOptions {
+            path: path.clone(),
+            fingerprint: OWNER,
+            every: 0,
+            cancel: None,
+        },
+    )
+    .expect("a stale checkpoint must not surface an error");
+    assert_eq!(out.resumed_from_cycle, None, "a v1 image must not resume");
+    assert_eq!(
+        fingerprint(&baseline),
+        fingerprint(&report_of(out.result)),
+        "cycle-0 replay diverged from the uninterrupted run"
+    );
+    assert!(!path.exists(), "a finished run must GC its checkpoint");
 }

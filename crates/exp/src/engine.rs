@@ -60,7 +60,7 @@ pub struct EngineOptions {
     /// killed run replay the in-flight cell from its last interval
     /// instead of cycle 0. Results are bit-identical either way.
     pub checkpoint_every: u64,
-    /// Shards per cell engine (`orion-shard`; 0 or 1 = monolithic).
+    /// Shards per cell engine (`orion-shard`; 0 or 1 = one shard).
     /// Results are bit-identical at every shard count, so this knob is
     /// deliberately **outside** the cell fingerprint: a cache written
     /// at one shard count serves every other.

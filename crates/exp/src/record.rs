@@ -466,18 +466,26 @@ fn percentile_or_nan(report: &Report, p: f64) -> f64 {
         .unwrap_or(f64::NAN)
 }
 
-fn push_key(s: &mut String, key: &str) {
+/// Appends `"key":` to a flat JSON object under construction. The
+/// `push_*` writers below each append one `"key":value,` member; the
+/// caller trims the trailing comma and closes the object. Explore
+/// artifacts write their rows with the same functions, so every JSON
+/// line in the workspace escapes and formats identically.
+pub fn push_key(s: &mut String, key: &str) {
     s.push('"');
     s.push_str(key);
     s.push_str("\":");
 }
 
-fn push_num<N: std::fmt::Display>(s: &mut String, key: &str, v: N) {
+/// Appends an integer (or any `Display` number) member.
+pub fn push_num<N: std::fmt::Display>(s: &mut String, key: &str, v: N) {
     push_key(s, key);
     let _ = write!(s, "{v},");
 }
 
-fn push_f64(s: &mut String, key: &str, v: f64) {
+/// Appends a float member in shortest round-trip form; non-finite
+/// values (JSON has none) become `null`.
+pub fn push_f64(s: &mut String, key: &str, v: f64) {
     push_key(s, key);
     if v.is_finite() {
         let _ = write!(s, "{v},");
@@ -486,7 +494,8 @@ fn push_f64(s: &mut String, key: &str, v: f64) {
     }
 }
 
-fn push_bool(s: &mut String, key: &str, v: bool) {
+/// Appends a boolean member.
+pub fn push_bool(s: &mut String, key: &str, v: bool) {
     push_key(s, key);
     s.push_str(if v { "true," } else { "false," });
 }
@@ -503,7 +512,9 @@ fn push_raw_str(s: &mut String, key: &str, v: &str) {
     s.push_str("\",");
 }
 
-fn push_str(s: &mut String, key: &str, v: &str) {
+/// Appends a string member, JSON-escaping quotes, backslashes and
+/// control characters.
+pub fn push_str(s: &mut String, key: &str, v: &str) {
     push_key(s, key);
     s.push('"');
     for c in v.chars() {

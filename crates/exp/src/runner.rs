@@ -56,7 +56,7 @@ pub struct Supervision {
     /// graceful drain ([`CellRunner::request_drain`]) able to stop
     /// in-flight cells at a resumable boundary.
     pub checkpoint_every: u64,
-    /// Shards per cell engine (`orion-shard`; 0 or 1 = monolithic).
+    /// Shards per cell engine (`orion-shard`; 0 or 1 = one shard).
     /// Bit-identical results at every count, so records and
     /// fingerprints are shard-agnostic.
     pub shards: usize,

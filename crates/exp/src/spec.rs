@@ -30,7 +30,11 @@ use orion_net::{Topology, TrafficPattern};
 use orion_sim::{FlowControl, VcDiscipline};
 
 use crate::fingerprint::{fnv1a64, splitmix64, MODEL_VERSION};
-use crate::toml::{self, Document, Value};
+use crate::toml::{self, Document};
+
+pub mod access;
+
+use access::{get_int_array, get_num_array, get_str, get_str_array, get_u64};
 
 /// A spec the engine refuses to run, as a typed diagnostic.
 #[derive(Debug, Clone, PartialEq)]
@@ -484,125 +488,6 @@ const GRID_KEYS: [&str; 7] = [
     "vc_discipline",
     "packet_len",
 ];
-
-fn wrong_type(
-    section: &str,
-    key: &str,
-    expected: &'static str,
-    value: &Value,
-    line: usize,
-) -> SpecError {
-    SpecError::WrongType {
-        section: section.to_string(),
-        key: key.to_string(),
-        expected,
-        found: value.kind(),
-        line,
-    }
-}
-
-fn get_u64(doc: &Document, section: &str, key: &str, default: u64) -> Result<u64, SpecError> {
-    match doc.get(section, key) {
-        None => Ok(default),
-        Some(e) => match &e.value {
-            Value::Int(i) if *i >= 0 => Ok(*i as u64),
-            v => Err(wrong_type(
-                section,
-                key,
-                "a non-negative integer",
-                v,
-                e.line,
-            )),
-        },
-    }
-}
-
-fn get_str(doc: &Document, section: &str, key: &str) -> Result<Option<(String, usize)>, SpecError> {
-    match doc.get(section, key) {
-        None => Ok(None),
-        Some(e) => match &e.value {
-            Value::Str(s) => Ok(Some((s.clone(), e.line))),
-            v => Err(wrong_type(section, key, "a string", v, e.line)),
-        },
-    }
-}
-
-/// A string array axis; `None` when the key is absent.
-fn get_str_array(
-    doc: &Document,
-    section: &str,
-    key: &'static str,
-) -> Result<Option<(Vec<String>, usize)>, SpecError> {
-    match doc.get(section, key) {
-        None => Ok(None),
-        Some(e) => match &e.value {
-            Value::Array(items) => {
-                let mut out = Vec::new();
-                for item in items {
-                    match item {
-                        Value::Str(s) => out.push(s.clone()),
-                        v => {
-                            return Err(wrong_type(section, key, "an array of strings", v, e.line))
-                        }
-                    }
-                }
-                Ok(Some((out, e.line)))
-            }
-            v => Err(wrong_type(section, key, "an array of strings", v, e.line)),
-        },
-    }
-}
-
-fn get_num_array(
-    doc: &Document,
-    section: &str,
-    key: &'static str,
-) -> Result<Option<(Vec<f64>, usize)>, SpecError> {
-    match doc.get(section, key) {
-        None => Ok(None),
-        Some(e) => match &e.value {
-            Value::Array(items) => {
-                let mut out = Vec::new();
-                for item in items {
-                    match item {
-                        Value::Int(i) => out.push(*i as f64),
-                        Value::Float(f) => out.push(*f),
-                        v => {
-                            return Err(wrong_type(section, key, "an array of numbers", v, e.line))
-                        }
-                    }
-                }
-                Ok(Some((out, e.line)))
-            }
-            v => Err(wrong_type(section, key, "an array of numbers", v, e.line)),
-        },
-    }
-}
-
-fn get_int_array(
-    doc: &Document,
-    section: &str,
-    key: &'static str,
-) -> Result<Option<(Vec<i64>, usize)>, SpecError> {
-    match doc.get(section, key) {
-        None => Ok(None),
-        Some(e) => match &e.value {
-            Value::Array(items) => {
-                let mut out = Vec::new();
-                for item in items {
-                    match item {
-                        Value::Int(i) => out.push(*i),
-                        v => {
-                            return Err(wrong_type(section, key, "an array of integers", v, e.line))
-                        }
-                    }
-                }
-                Ok(Some((out, e.line)))
-            }
-            v => Err(wrong_type(section, key, "an array of integers", v, e.line)),
-        },
-    }
-}
 
 impl ExperimentSpec {
     /// Parses and validates a spec from TOML text.

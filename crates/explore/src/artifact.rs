@@ -15,6 +15,7 @@ use std::path::{Path, PathBuf};
 
 use orion_exp::design::DesignPoint;
 use orion_exp::fingerprint;
+use orion_exp::record::{push_bool, push_f64, push_num, push_str};
 use orion_exp::spec::TrafficKind;
 use orion_exp::write_atomic;
 use orion_exp::CellRecord;
@@ -210,50 +211,6 @@ impl PointRecord {
         );
         s
     }
-}
-
-fn push_key(s: &mut String, key: &str) {
-    s.push('"');
-    s.push_str(key);
-    s.push_str("\":");
-}
-
-fn push_num<N: std::fmt::Display>(s: &mut String, key: &str, v: N) {
-    push_key(s, key);
-    let _ = write!(s, "{v},");
-}
-
-fn push_f64(s: &mut String, key: &str, v: f64) {
-    push_key(s, key);
-    if v.is_finite() {
-        let _ = write!(s, "{v},");
-    } else {
-        s.push_str("null,");
-    }
-}
-
-fn push_bool(s: &mut String, key: &str, v: bool) {
-    push_key(s, key);
-    s.push_str(if v { "true," } else { "false," });
-}
-
-fn push_str(s: &mut String, key: &str, v: &str) {
-    push_key(s, key);
-    s.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\t' => s.push_str("\\t"),
-            '\r' => s.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(s, "\\u{:04x}", c as u32);
-            }
-            c => s.push(c),
-        }
-    }
-    s.push_str("\",");
 }
 
 /// Paths of the four files one run writes.

@@ -50,7 +50,7 @@ pub struct ExploreOptions {
     /// candidate evaluations then survive a kill mid-cell: the next
     /// search over the same cache resumes from the last interval.
     pub checkpoint_every: u64,
-    /// Shards per cell engine (`orion-shard`; 0 or 1 = monolithic).
+    /// Shards per cell engine (`orion-shard`; 0 or 1 = one shard).
     /// Bit-identical results at every count — outside every
     /// fingerprint, so caches are shard-agnostic.
     pub shards: usize,

@@ -32,6 +32,7 @@
 use std::collections::BTreeSet;
 
 use orion_exp::design::{DesignPoint, RouterFamily};
+use orion_exp::spec::access::{get_int_array, get_str, get_str_array, get_u64, wrong_type};
 use orion_exp::spec::{MeasureSpec, SpecError, TrafficKind};
 use orion_exp::toml::{self, Document, Value};
 use orion_net::TopologyKind;
@@ -195,48 +196,6 @@ const EXPLORE_KEYS: [&str; 8] = [
 ];
 const SPACE_KEYS: [&str; 6] = ["families", "vcs", "depths", "radix", "topology", "nodes"];
 
-fn wrong_type(
-    section: &str,
-    key: &str,
-    expected: &'static str,
-    value: &Value,
-    line: usize,
-) -> SpecError {
-    SpecError::WrongType {
-        section: section.to_string(),
-        key: key.to_string(),
-        expected,
-        found: value.kind(),
-        line,
-    }
-}
-
-fn get_str(doc: &Document, section: &str, key: &str) -> Result<Option<(String, usize)>, SpecError> {
-    match doc.get(section, key) {
-        None => Ok(None),
-        Some(e) => match &e.value {
-            Value::Str(s) => Ok(Some((s.clone(), e.line))),
-            v => Err(wrong_type(section, key, "a string", v, e.line)),
-        },
-    }
-}
-
-fn get_u64(doc: &Document, section: &str, key: &str, default: u64) -> Result<u64, SpecError> {
-    match doc.get(section, key) {
-        None => Ok(default),
-        Some(e) => match &e.value {
-            Value::Int(i) if *i >= 0 => Ok(*i as u64),
-            v => Err(wrong_type(
-                section,
-                key,
-                "a non-negative integer",
-                v,
-                e.line,
-            )),
-        },
-    }
-}
-
 fn get_pos_usize(
     doc: &Document,
     section: &str,
@@ -248,56 +207,6 @@ fn get_pos_usize(
         Some(e) => match &e.value {
             Value::Int(i) if *i > 0 => Ok(*i as usize),
             v => Err(wrong_type(section, key, "a positive integer", v, e.line)),
-        },
-    }
-}
-
-fn get_str_array(
-    doc: &Document,
-    section: &str,
-    key: &'static str,
-) -> Result<Option<(Vec<String>, usize)>, SpecError> {
-    match doc.get(section, key) {
-        None => Ok(None),
-        Some(e) => match &e.value {
-            Value::Array(items) => {
-                let mut out = Vec::new();
-                for item in items {
-                    match item {
-                        Value::Str(s) => out.push(s.clone()),
-                        v => {
-                            return Err(wrong_type(section, key, "an array of strings", v, e.line))
-                        }
-                    }
-                }
-                Ok(Some((out, e.line)))
-            }
-            v => Err(wrong_type(section, key, "an array of strings", v, e.line)),
-        },
-    }
-}
-
-fn get_int_array(
-    doc: &Document,
-    section: &str,
-    key: &'static str,
-) -> Result<Option<(Vec<i64>, usize)>, SpecError> {
-    match doc.get(section, key) {
-        None => Ok(None),
-        Some(e) => match &e.value {
-            Value::Array(items) => {
-                let mut out = Vec::new();
-                for item in items {
-                    match item {
-                        Value::Int(i) => out.push(*i),
-                        v => {
-                            return Err(wrong_type(section, key, "an array of integers", v, e.line))
-                        }
-                    }
-                }
-                Ok(Some((out, e.line)))
-            }
-            v => Err(wrong_type(section, key, "an array of integers", v, e.line)),
         },
     }
 }

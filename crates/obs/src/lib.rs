@@ -29,7 +29,7 @@ pub mod metrics;
 pub mod probe;
 pub mod trace;
 
-pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot, DEFAULT_BOUNDS};
+pub use metrics::{json_f64, Histogram, MetricsRegistry, MetricsSnapshot, DEFAULT_BOUNDS};
 pub use probe::{rows_to_jsonl, NodeState, ProbeRow, Prober, COMPONENTS, PROBE_SCHEMA_VERSION};
 pub use trace::{
     spans_to_jsonl, FlitTracer, HopEvent, HopStage, PacketSpan, MAX_HOPS, TRACE_SCHEMA_VERSION,

@@ -230,7 +230,7 @@ impl MetricsRegistry {
 
 /// Formats a float the way the workspace's artifacts do: shortest
 /// round-trip decimal, `null` for non-finite values.
-pub(crate) fn json_f64(v: f64) -> String {
+pub fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {

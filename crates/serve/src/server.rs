@@ -53,7 +53,7 @@ pub struct ServeConfig {
     /// cell's snapshot under `<cache_dir>/ckpt/` and the next daemon
     /// resumes it mid-cell instead of from cycle 0.
     pub checkpoint_every: u64,
-    /// Shards per cell engine (`orion-shard`; 0 or 1 = monolithic).
+    /// Shards per cell engine (`orion-shard`; 0 or 1 = one shard).
     /// Records are bit-identical at every count, so the cache this
     /// daemon serves is shard-agnostic.
     pub shards: usize,

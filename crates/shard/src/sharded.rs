@@ -11,7 +11,7 @@
 //! for the argument, and this crate's tests for the proof by
 //! comparison).
 
-use orion_net::{FaultSchedule, NodeId};
+use orion_net::{FaultSchedule, NodeId, TopologyKind};
 use orion_obs::{NodeState, ObsEvent, ObsSink};
 use orion_sim::energy::Component;
 use orion_sim::network::{EngineMode, Network, NetworkSpec};
@@ -108,9 +108,7 @@ impl ShardedNetwork {
             spec,
             next_packet: 0,
             obs: None,
-            parallel: std::thread::available_parallelism()
-                .map(|n| n.get() > 1)
-                .unwrap_or(false),
+            parallel: shards > 1 && std::thread::available_parallelism().is_ok_and(|n| n.get() > 1),
         }
     }
 
@@ -131,7 +129,8 @@ impl ShardedNetwork {
 
     /// Whether [`ShardedNetwork::step`] runs shards on scoped threads.
     /// Either mode is bit-identical; threading only changes wall-clock
-    /// time. Defaults to `true` when the host has more than one CPU.
+    /// time. Defaults to `true` when there is more than one shard and
+    /// the host has more than one CPU.
     pub fn parallel(&self) -> bool {
         self.parallel
     }
@@ -556,11 +555,18 @@ impl ShardedNetwork {
         }
     }
 
-    /// Serialises the complete sharded state: plan, packet sequence,
-    /// every shard engine's payload, and the boundary mailboxes.
+    /// Serialises the complete sharded state: topology shape (kind,
+    /// dimensions, radices), plan, packet sequence, every shard
+    /// engine's payload, and the boundary mailboxes.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.u32(SNAPSHOT_VERSION);
+        let topo = &self.spec.topology;
+        w.u8(topology_kind_tag(topo.kind()));
+        w.u8(topo.dims() as u8);
+        for dim in 0..topo.dims() {
+            w.u32(topo.radix(dim));
+        }
         w.usize(self.plan.shards());
         for &b in self.plan.bounds() {
             w.usize(b);
@@ -577,14 +583,27 @@ impl ShardedNetwork {
 
     /// Restores state captured by [`ShardedNetwork::snapshot`] into
     /// this network, which must have been freshly built from the same
-    /// spec, models and plan. A snapshot taken at a different shard
-    /// count is a typed [`SnapshotError::Mismatch`], never a panic or
-    /// a silently wrong resume.
+    /// spec, models and plan. A snapshot taken on a different topology
+    /// shape or at a different shard count is a typed
+    /// [`SnapshotError::Mismatch`] before any state is touched, never a
+    /// panic or a silently wrong resume.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         let mut r = ByteReader::new(bytes);
         let version = r.u32()?;
         if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::WrongVersion(version));
+        }
+        let topo = &self.spec.topology;
+        if r.u8()? != topology_kind_tag(topo.kind()) {
+            return Err(SnapshotError::Mismatch("topology kind"));
+        }
+        if r.u8()? != topo.dims() as u8 {
+            return Err(SnapshotError::Mismatch("topology dimensions"));
+        }
+        for dim in 0..topo.dims() {
+            if r.u32()? != topo.radix(dim) {
+                return Err(SnapshotError::Mismatch("topology radix"));
+            }
         }
         if r.usize()? != self.plan.shards() {
             return Err(SnapshotError::Mismatch("shard count"));
@@ -607,5 +626,13 @@ impl ShardedNetwork {
         }
         self.next_packet = next_packet;
         Ok(())
+    }
+}
+
+/// The snapshot tag of a topology kind.
+fn topology_kind_tag(kind: TopologyKind) -> u8 {
+    match kind {
+        TopologyKind::Torus => 0,
+        TopologyKind::Mesh => 1,
     }
 }
