@@ -1,9 +1,11 @@
 //! The checkpoint *policy*: periodic persistence, graceful-drain
 //! cancellation, resume-or-replay, and garbage collection.
 //!
-//! [`run_checkpointed`] is what every execution layer (the batch
-//! engine, the serving runner, the explore loop, the CLI) calls
-//! instead of hand-rolling resume logic. Its contract:
+//! [`run_checkpointed`] is what the shared cell executor
+//! (`orion_exp::CellRunner`, behind `experiment run`, `explore` and
+//! `serve`) calls instead of hand-rolling resume logic; the CLI's
+//! `simulate --checkpoint-every` drives [`CheckpointHook`] through its
+//! own loop. Its contract:
 //!
 //! 1. A valid checkpoint at the given path resumes the run from its
 //!    cycle — bit-identically, per the `orion-core` guarantee.

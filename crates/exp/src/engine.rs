@@ -1,34 +1,36 @@
-//! The experiment engine: cache partition → supervised deterministic
-//! parallel simulation → sorted merge.
+//! The experiment engine: expand a spec's grid, run every cell
+//! through the shared [`CellRunner`], merge the records in key order.
 //!
 //! Determinism contract: the record set produced by
 //! [`run_spec`] is a pure function of the spec (and the code-model
 //! version). Worker count, scheduling order and cache state change
 //! only *wall-clock time and hit counts*, never results — each cell's
-//! RNG is seeded from a hash of its parameter point, fresh records are
-//! collected in grid order, and the merged output is sorted by cell
-//! key before it is returned or written.
+//! RNG is seeded from a hash of its parameter point, and the merged
+//! output is sorted by cell key before it is returned or written.
 //!
 //! Supervision contract: one misbehaving cell never kills the grid.
-//! Panicking cells are isolated per-item ([`try_par_map`]), retried a
-//! bounded number of times with deterministically reseeded RNGs, and
-//! quarantined as `crashed` records when every attempt fails; cells
-//! that overrun their wall-clock budget are classified `timed-out`.
-//! Quarantine records are **not** cached — only genuine simulation
-//! results are — so a fixed build retries them automatically.
+//! [`CellRunner`] — the one cell executor batch runs, `explore` and
+//! `serve` share — isolates each attempt's panic, retries a bounded
+//! number of times with deterministically reseeded RNGs, and
+//! quarantines the cell as a `crashed` record when every attempt
+//! fails; cells that overrun their wall-clock budget are classified
+//! `timed-out`. Quarantine records are **not** cached — only genuine
+//! simulation results are — so a fixed build retries them
+//! automatically.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use orion_ckpt::{checkpoint_path, run_checkpointed, CheckpointOptions};
-use orion_core::exec::try_par_map;
+use orion_core::exec::par_map;
 use orion_core::{Experiment, RunResult};
 
 use crate::cache::{CacheLock, Manifest, ResultCache};
 use crate::fingerprint::splitmix64;
 use crate::record::CellRecord;
+use crate::runner::{CellRunner, Supervision};
 use crate::spec::{Cell, ExperimentSpec};
 
 /// Execution options for [`run_spec`].
@@ -68,7 +70,7 @@ pub struct EngineOptions {
 }
 
 /// Accounting for one engine invocation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunSummary {
     /// Cells in the expanded grid.
     pub total: usize,
@@ -104,12 +106,6 @@ impl RunSummary {
     pub fn is_degraded(&self) -> bool {
         self.failed > 0 || self.crashed > 0 || self.timed_out > 0 || self.corrupted > 0
     }
-}
-
-/// Runs one cell to a record; never panics on configuration or
-/// workload errors — they become `outcome: "error"` records.
-pub fn run_cell(cell: &Cell) -> CellRecord {
-    run_cell_seeded(cell, cell.derived_seed(), 1)
 }
 
 /// Builds the configured [`Experiment`] for one cell and seed, or the
@@ -212,10 +208,10 @@ pub(crate) fn poison_matches(poison: Option<&str>, cell: &Cell, attempt: u32) ->
     !pat.is_empty() && cell.key().contains(pat) && (!once || attempt == 0)
 }
 
-/// Expands the spec's grid, serves cached cells, simulates the rest in
-/// parallel under per-cell supervision, and returns all records
-/// **sorted by cell key** together with hit/miss and quarantine
-/// accounting.
+/// Expands the spec's grid, runs every cell through a [`CellRunner`]
+/// (cache hits from memory, misses simulated in parallel under
+/// per-cell supervision), and returns all records **sorted by cell
+/// key** together with hit/miss and quarantine accounting.
 ///
 /// # Errors
 ///
@@ -232,195 +228,106 @@ pub fn run_spec(
     let start = Instant::now();
     let cells = spec.expand();
     let total = cells.len();
-
-    // Partition the grid against the cache: cached cells are done, the
-    // rest simulate. Closure so the shared→exclusive upgrade below can
-    // re-partition against a re-opened cache.
-    let partition = |cache: Option<&ResultCache>, cells: &[Cell]| {
-        let mut records: Vec<CellRecord> = Vec::with_capacity(cells.len());
-        let mut misses: Vec<Cell> = Vec::new();
-        for cell in cells {
-            match cache.and_then(|c| c.get(cell.fingerprint())) {
-                Some(hit) => records.push(hit.clone()),
-                None => misses.push(cell.clone()),
-            }
-        }
-        (records, misses)
-    };
-
-    // Lock the cache directory for the duration of the run. A fully
-    // cached, already-healed run only *reads*, so it takes a shared
-    // lock and can proceed beside other readers (concurrent clients
-    // replaying a finished grid). Anything that must write — fresh
-    // cells, torn-line compaction — upgrades to the exclusive writer
-    // lock, re-opening the cache because entries may have changed
-    // between the two acquisitions.
-    let mut _lock: Option<CacheLock> = None;
-    let mut cache: Option<ResultCache> = None;
-    let (mut records, mut misses) = partition(None, &cells);
-    if let Some(dir) = &opts.cache_dir {
-        let shared = CacheLock::acquire_shared(dir)?;
-        let read_cache = ResultCache::open(dir)?;
-        let (recs, miss) = partition(Some(&read_cache), &cells);
-        if miss.is_empty() && !read_cache.needs_compaction() {
-            (records, misses) = (recs, miss);
-            (_lock, cache) = (Some(shared), Some(read_cache));
-        } else {
-            drop(shared);
-            let exclusive = CacheLock::acquire(dir)?;
-            let write_cache = ResultCache::open(dir)?;
-            // Heal debris a killed run left behind (torn final line,
-            // superseded duplicates) before appending more.
-            write_cache.compact()?;
-            (records, misses) = partition(Some(&write_cache), &cells);
-            (_lock, cache) = (Some(exclusive), Some(write_cache));
-        }
-    }
-    let corrupt_cache_lines = cache.as_ref().map_or(0, ResultCache::corrupt_lines);
-    let cache_hits = records.len();
-    let simulated = misses.len();
-
-    let appender = match &cache {
-        Some(c) if simulated > 0 => Some(Mutex::new(c.appender()?)),
-        _ => None,
-    };
-    let sink_broken = AtomicBool::new(false);
-    let append_failures = AtomicUsize::new(0);
-    let append_error: Mutex<Option<String>> = Mutex::new(None);
-    let done = AtomicUsize::new(0);
-    let progress = |finished: usize| {
+    let progress = |finished: usize, fresh: usize| {
         if opts.progress {
             let secs = start.elapsed().as_secs_f64().max(1e-9);
             eprint!(
                 "\r[{}] {}/{} cells ({} cached), {:.1} cells/s   ",
                 spec.name,
-                cache_hits + finished,
+                finished,
                 total,
-                cache_hits,
-                finished as f64 / secs,
+                finished.saturating_sub(fresh),
+                fresh as f64 / secs,
             );
         }
     };
-    progress(0);
+    let mut summary = RunSummary {
+        total,
+        ..RunSummary::default()
+    };
 
-    // Supervised rounds: attempt 0 runs every miss; each later round
-    // reruns only the cells that panicked, reseeded, up to
-    // `max_retries` times. `try_par_map` isolates panics per item, so
-    // one poisoned cell cannot take down its worker's whole share.
-    let mut pending = misses;
-    let mut attempt: u32 = 0;
-    loop {
-        let cells_this_round = pending.clone();
-        let results = try_par_map(opts.threads, pending, |cell| {
-            if poison_matches(opts.poison.as_deref(), &cell, attempt) {
-                panic!("poison hook: injected panic for cell {}", cell.key());
-            }
-            let attempt_start = Instant::now();
-            let seed = retry_seed(cell.derived_seed(), attempt);
-            // Checkpointing covers attempt 0 only: retries reseed the
-            // RNG, and a snapshot persisted under the original seed
-            // must never be resumed into a differently-seeded replay.
-            let mut record = match &opts.cache_dir {
-                Some(dir) if opts.checkpoint_every > 0 && attempt == 0 => run_cell_checkpointed(
-                    &cell,
-                    seed,
-                    dir,
-                    opts.checkpoint_every,
-                    None,
-                    opts.shards,
-                ),
-                _ => run_cell_seeded(&cell, seed, opts.shards),
-            };
-            let elapsed = attempt_start.elapsed();
-            record.attempts = attempt + 1;
-            if attempt > 0 {
-                record.cell_outcome = "retried".to_string();
-            }
-            if let Some(budget) = opts.cell_timeout {
-                if elapsed > budget {
-                    record = CellRecord::from_timeout(
-                        &cell,
-                        budget.as_millis() as u64,
-                        elapsed.as_millis() as u64,
-                        attempt + 1,
-                    );
-                }
-            }
-            // Quarantine verdicts are wall-clock-dependent and
-            // drained cells are incomplete — neither is cached;
-            // genuine results are made durable immediately.
-            if !record.is_timed_out() && !record.is_drained() {
-                if let Some(app) = &appender {
-                    if sink_broken.load(Ordering::Relaxed) {
-                        append_failures.fetch_add(1, Ordering::Relaxed);
-                    } else if let Err(e) = app.lock().unwrap().append(&record) {
-                        sink_broken.store(true, Ordering::Relaxed);
-                        append_failures.fetch_add(1, Ordering::Relaxed);
-                        append_error.lock().unwrap().get_or_insert(e.to_string());
-                    }
-                }
-            }
-            progress(done.fetch_add(1, Ordering::Relaxed) + 1);
-            record
-        });
-
-        let mut next = Vec::new();
-        for (cell, result) in cells_this_round.into_iter().zip(results) {
-            match result {
-                Ok(record) => records.push(record),
-                Err(_) if attempt < opts.max_retries => next.push(cell),
-                Err(panic_msg) => {
-                    progress(done.fetch_add(1, Ordering::Relaxed) + 1);
-                    records.push(CellRecord::from_crash(&cell, &panic_msg, attempt + 1));
-                }
-            }
+    // A fully cached, already-healed grid only *reads*: serve it under
+    // a shared lock, beside other readers (concurrent clients replaying
+    // a finished grid). Anything that must write — fresh cells,
+    // torn-line compaction — goes through the runner, which takes the
+    // exclusive writer lock and re-opens the cache, because entries may
+    // have changed between the two acquisitions.
+    if let Some(dir) = &opts.cache_dir {
+        let _shared = CacheLock::acquire_shared(dir)?;
+        let cache = ResultCache::open(dir)?;
+        summary.corrupt_cache_lines = cache.corrupt_lines();
+        let hits: Option<Vec<CellRecord>> = if cache.needs_compaction() {
+            None
+        } else {
+            cells
+                .iter()
+                .map(|c| cache.get(c.fingerprint()).cloned())
+                .collect()
+        };
+        if let Some(records) = hits {
+            progress(total, 0);
+            summary.cache_hits = total;
+            return Ok(finish(spec, opts, records, summary, start));
         }
-        if next.is_empty() {
-            break;
-        }
-        pending = next;
-        attempt += 1;
     }
+
+    let runner = CellRunner::open(opts.cache_dir.as_deref())?;
+    let sup = Supervision {
+        max_retries: opts.max_retries,
+        cell_timeout: opts.cell_timeout,
+        poison: opts.poison.clone(),
+        checkpoint_every: opts.checkpoint_every,
+        shards: opts.shards,
+    };
+    progress(0, 0);
+    let (done, fresh) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let records = par_map(opts.threads, cells, |cell| {
+        let record = runner.run(&cell, &sup);
+        let is_fresh = usize::from(!record.cached);
+        let fresh = fresh.fetch_add(is_fresh, Ordering::Relaxed) + is_fresh;
+        progress(done.fetch_add(1, Ordering::Relaxed) + 1, fresh);
+        record
+    });
+    let stats = runner.stats();
+    summary.simulated = stats.executed as usize;
+    summary.cache_hits = total - summary.simulated;
+    summary.append_failures = stats.append_failures as usize;
+    summary.append_error = runner.append_error();
+    // The runner (and its writer lock) lives until the manifest is
+    // written.
+    Ok(finish(spec, opts, records, summary, start))
+}
+
+/// Sorts the records by cell key, counts their outcomes into
+/// `summary` and writes the progress manifest.
+fn finish(
+    spec: &ExperimentSpec,
+    opts: &EngineOptions,
+    mut records: Vec<CellRecord>,
+    mut summary: RunSummary,
+    start: Instant,
+) -> (Vec<CellRecord>, RunSummary) {
     if opts.progress {
         eprintln!();
     }
-
     records.sort_by(|a, b| a.cell.cmp(&b.cell));
-    let failed = records.iter().filter(|r| r.is_error()).count();
-    let crashed = records.iter().filter(|r| r.is_crashed()).count();
-    let timed_out = records.iter().filter(|r| r.is_timed_out()).count();
-    let retried = records
-        .iter()
-        .filter(|r| r.cell_outcome == "retried")
-        .count();
-    let corrupted = records.iter().filter(|r| r.outcome == "corrupted").count();
+    let count = |pred: fn(&CellRecord) -> bool| records.iter().filter(|&r| pred(r)).count();
+    summary.failed = count(CellRecord::is_error);
+    summary.crashed = count(CellRecord::is_crashed);
+    summary.timed_out = count(CellRecord::is_timed_out);
+    summary.retried = count(|r| r.cell_outcome == "retried");
+    summary.corrupted = count(|r| r.outcome == "corrupted");
 
     if let Some(dir) = &opts.cache_dir {
         // Reporting-only progress marker; the cache contents, not the
         // manifest, decide what a resumed run re-simulates.
         let _ = Manifest {
             spec_name: spec.name.clone(),
-            total_cells: total,
-            completed_cells: total - crashed - timed_out,
+            total_cells: summary.total,
+            completed_cells: summary.total - summary.crashed - summary.timed_out,
         }
         .write(dir);
     }
-
-    Ok((
-        records,
-        RunSummary {
-            total,
-            simulated,
-            cache_hits,
-            failed,
-            crashed,
-            timed_out,
-            retried,
-            corrupted,
-            corrupt_cache_lines,
-            append_failures: append_failures.into_inner(),
-            append_error: append_error.into_inner().unwrap(),
-            elapsed: start.elapsed(),
-        },
-    ))
+    summary.elapsed = start.elapsed();
+    (records, summary)
 }

@@ -23,7 +23,7 @@
 //!    retried with deterministically reseeded RNGs and, failing that,
 //!    quarantined as one `crashed` record instead of killing the grid;
 //!    the cache directory is guarded by an exclusive lock and heals
-//!    its own torn lines ([`engine`], [`cache`]).
+//!    its own torn lines ([`runner`], [`cache`]).
 //! 5. **Mid-run checkpoints** — with `checkpoint_every` set, each
 //!    in-flight cell persists a versioned, checksummed snapshot every
 //!    N cycles under `<cache_dir>/ckpt/`; a killed run resumes the
@@ -80,7 +80,7 @@ pub use cache::{
     CacheAppender, CacheLock, LockMode, Manifest, ResultCache, CACHE_FILE, LOCK_FILE, MANIFEST_FILE,
 };
 pub use design::{canonical_design_name, DesignPoint, RouterFamily};
-pub use engine::{run_cell, run_spec, EngineOptions, RunSummary};
+pub use engine::{run_spec, EngineOptions, RunSummary};
 pub use frontier::{FrontMember, InsertOutcome, Objectives, ParetoFront};
 pub use inflight::{Claim, InflightMap, LeaderGuard};
 pub use record::{CellRecord, SCHEMA_VERSION};

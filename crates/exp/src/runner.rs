@@ -1,9 +1,10 @@
-//! A re-entrant, shareable cell executor: the serving counterpart of
-//! the batch engine in [`crate::engine`].
+//! The re-entrant, shareable cell executor: every cell the batch
+//! engine ([`run_spec`](crate::run_spec)), `orion-explore` and
+//! `orion-serve` simulate runs through [`CellRunner::run`].
 //!
-//! [`run_spec`](crate::run_spec) owns a whole grid from start to
-//! finish; a long-lived daemon instead receives cells continuously
-//! from many concurrent clients. [`CellRunner`] serves that shape:
+//! A grid run owns the runner for one call; a long-lived daemon
+//! receives cells continuously from many concurrent clients. Both
+//! shapes get:
 //!
 //! * **One writer, many callers** — the runner holds the cache
 //!   directory's exclusive writer lock for its whole lifetime and is
@@ -14,10 +15,14 @@
 //! * **In-flight dedup** — concurrent requests for the same
 //!   fingerprint collapse into one execution via [`InflightMap`]:
 //!   one leader simulates, every follower shares the record.
-//! * **Supervision** — panicking cells retry with deterministically
-//!   reseeded RNGs and quarantine as `crashed` records; wall-clock
-//!   overruns classify as `timed-out`. Quarantine verdicts are never
-//!   cached, matching the batch engine.
+//! * **Supervision** — each attempt runs under `catch_unwind`;
+//!   panicking cells retry with deterministically reseeded RNGs and
+//!   quarantine as `crashed` records; wall-clock overruns classify as
+//!   `timed-out`. Quarantine verdicts are never cached.
+//! * **Append policy** — genuine results are appended to the disk
+//!   cache as they finish. Appending stops at the first failure, so a
+//!   torn line never tears the next record; every record skipped
+//!   after it counts in [`RunnerStats::append_failures`].
 //!
 //! Determinism: records are a pure function of the cell (seeds derive
 //! from the cell key), so a runner shared by N racing clients yields
@@ -37,8 +42,8 @@ use crate::inflight::{Claim, InflightMap};
 use crate::record::CellRecord;
 use crate::spec::Cell;
 
-/// Per-request supervision knobs, mirroring the batch engine's
-/// `--retries` / `--cell-timeout-ms` semantics.
+/// Per-request supervision knobs (the CLI's `--retries` /
+/// `--cell-timeout-ms` semantics).
 #[derive(Debug, Clone, Default)]
 pub struct Supervision {
     /// Extra attempts granted to a panicking cell (0 = fail fast).
@@ -81,7 +86,8 @@ pub struct RunnerStats {
     pub retried: u64,
     /// Executions whose configuration was rejected (`"error"`).
     pub failed: u64,
-    /// Records that could not be appended to the disk cache.
+    /// Records that could not be appended to the disk cache (the
+    /// failed one and every record skipped after it).
     pub append_failures: u64,
     /// Executions stopped at a checkpoint boundary by a drain.
     pub drained: u64,
@@ -300,12 +306,16 @@ impl CellRunner {
         }
         let mut appender = lock_unpoisoned(&self.appender);
         if let Some(app) = appender.as_mut() {
-            if let Err(e) = app.append(record) {
-                self.counters
-                    .append_failures
-                    .fetch_add(1, Ordering::Relaxed);
-                lock_unpoisoned(&self.append_error).get_or_insert(e.to_string());
+            let mut error = lock_unpoisoned(&self.append_error);
+            if error.is_none() {
+                match app.append(record) {
+                    Ok(()) => return,
+                    Err(e) => *error = Some(e.to_string()),
+                }
             }
+            self.counters
+                .append_failures
+                .fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -382,9 +392,8 @@ impl CellRunner {
     }
 }
 
-/// Renders a panic payload as a message (same policy as
-/// `orion_core::exec`): `&str` and `String` payloads verbatim, a fixed
-/// tag otherwise.
+/// Renders a panic payload as a message: `&str` and `String` payloads
+/// verbatim, a fixed tag otherwise.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()

@@ -193,6 +193,44 @@ fn poisoned_cell_is_quarantined_and_grid_completes() {
             assert_eq!(a, b, "cell {} perturbed by a sibling's panic", a.cell);
         }
     }
+
+    // Many panics, few workers: half the grid panics on 2 threads, and
+    // each worker keeps draining the queue after catching a panic.
+    let mut many_opts = opts(2, None);
+    many_opts.poison = Some("wh64/".to_string());
+    let (records, summary) = run_spec(&spec, &many_opts).unwrap();
+    assert_eq!(records.len(), 16);
+    assert_eq!(summary.crashed, 8);
+    for (a, b) in clean.iter().zip(&records) {
+        if a.cell.starts_with("wh64/") {
+            assert!(b.is_crashed(), "cell {} should be quarantined", b.cell);
+        } else {
+            assert_eq!(a, b, "cell {} perturbed by a sibling's panic", a.cell);
+        }
+    }
+}
+
+#[test]
+fn duplicate_cells_simulate_once() {
+    let dir = temp_dir("duplicates");
+    let text = SPEC
+        .replace(r#"presets = ["wh64", "vc64"]"#, r#"presets = ["vc64"]"#)
+        .replace(
+            "rates = [0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08]",
+            "rates = [0.02, 0.02]",
+        );
+    let spec = ExperimentSpec::parse(&text).unwrap();
+    let (records, summary) = run_spec(&spec, &opts(2, Some(dir.clone()))).unwrap();
+    assert_eq!(records.len(), 2);
+    assert_eq!(records[0].to_json_line(), records[1].to_json_line());
+    assert_eq!(
+        summary.simulated, 1,
+        "the duplicate shares the first result"
+    );
+    assert_eq!(summary.cache_hits, 1);
+    let cache = fs::read_to_string(dir.join(CACHE_FILE)).unwrap();
+    assert_eq!(cache.lines().count(), 1, "one cache line per fingerprint");
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
