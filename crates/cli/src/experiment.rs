@@ -9,10 +9,8 @@
 //!     --threads 8 --cache-dir .exp-cache --out-dir experiments
 //! ```
 //!
-//! Unlike the component subcommands, `experiment run`/`explore` take a
-//! positional spec path, so they are dispatched before the option-only
-//! [`Args`](crate::args::Args) grammar. Exit codes follow the scheme
-//! in [`crate::run`]: 2 for bad input (spec errors, a cache directory
+//! Both take the spec path as their one positional argument. Exit
+//! codes follow the scheme in [`crate::run`]: 2 for bad input (spec errors, a cache directory
 //! locked by another live run), 1 for I/O failures, 3 when the run
 //! degraded (failed, crashed, timed-out or corrupted cells),
 //! 0 otherwise.
@@ -27,374 +25,219 @@
 //! determinism contract keys on both — see `docs/EXPLORATION.md`) and
 //! `--observe-dir` to dump the `explore_*` metrics snapshot.
 
-use std::path::PathBuf;
-use std::time::Duration;
+use std::fmt::Display;
+use std::path::{Path, PathBuf};
 
 use orion_exp::{run_spec, write_artifacts, EngineOptions, ExperimentSpec};
 use orion_explore::{run_explore, write_explore_artifacts, ExploreOptions, ExploreSpec};
 use orion_serve::http::json_escape;
 
-use crate::args::ArgError;
+use crate::args::{ArgError, Args};
 use crate::run::{CmdOutput, EXIT_BAD_INPUT, EXIT_DEGRADED, EXIT_RUNTIME, JSON_SCHEMA_VERSION};
 
 /// An artifact path rendered for embedding in a JSON string literal:
 /// quotes and backslashes (e.g. Windows separators) escaped, so an
 /// `--out-dir` containing either still yields valid JSON.
-fn json_path(p: &std::path::Path) -> String {
+fn json_path(p: &Path) -> String {
     json_escape(&p.display().to_string())
 }
 
-/// Usage fragment shown on `experiment` argument errors.
-const EXPERIMENT_USAGE: &str = "usage: orion-power-cli experiment run <spec.toml> [--threads N] \
-     [--cache-dir DIR] [--out-dir DIR] [--retries N] [--cell-timeout-ms N] \
-     [--audit-every N] [--checkpoint-every CYCLES] [--shards N] [--json] [--quiet]\n       \
-     orion-power-cli experiment explore <spec.toml> [--threads N] \
-     [--cache-dir DIR] [--out-dir DIR] [--seed N] [--budget N] [--retries N] \
-     [--cell-timeout-ms N] [--checkpoint-every CYCLES] [--shards N] \
-     [--observe-dir DIR] [--json] [--quiet]";
+/// Reads and parses the spec file named by the positional argument;
+/// an unreadable file or a malformed spec is bad input.
+fn load_spec<T, E: Display>(args: &Args, parse: fn(&str) -> Result<T, E>) -> Result<T, CmdOutput> {
+    let path = args.positional();
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| CmdOutput::error(EXIT_BAD_INPUT, format_args!("cannot read `{path}`: {e}")))?;
+    parse(&text).map_err(|e| CmdOutput::error(EXIT_BAD_INPUT, format_args!("{path}: {e}")))
+}
 
-struct ExperimentArgs {
-    spec_path: PathBuf,
-    threads: usize,
-    cache_dir: Option<PathBuf>,
-    out_dir: PathBuf,
-    retries: u32,
-    cell_timeout: Option<Duration>,
+/// Maps an engine I/O error: a cache directory locked by another live
+/// run is bad input, anything else a runtime failure.
+fn engine_error(engine: &str, e: std::io::Error) -> CmdOutput {
+    if e.kind() == std::io::ErrorKind::AlreadyExists {
+        CmdOutput::error(EXIT_BAD_INPUT, e)
+    } else {
+        CmdOutput::error(EXIT_RUNTIME, format_args!("{engine} I/O failure: {e}"))
+    }
+}
+
+fn write_error(what: &str, dir: &Path, e: std::io::Error) -> CmdOutput {
+    CmdOutput::error(
+        EXIT_RUNTIME,
+        format_args!("cannot write {what} under `{}`: {e}", dir.display()),
+    )
+}
+
+fn out_dir(args: &Args) -> PathBuf {
+    PathBuf::from(args.get("out-dir").unwrap_or("experiments"))
+}
+
+/// Progress lines go to stderr unless `--quiet` or `--json` is given.
+fn progress(args: &Args) -> bool {
+    !args.flag("quiet") && !args.flag("json")
+}
+
+/// Runs `experiment run <spec.toml>`: every grid cell through the
+/// orchestration engine, then the JSONL/CSV artifacts and a summary.
+///
+/// # Errors
+///
+/// Returns an [`ArgError`] for malformed or out-of-range options.
+pub fn run(args: &Args) -> Result<CmdOutput, ArgError> {
+    let opts = EngineOptions {
+        threads: args.u64_or("threads", 1)? as usize,
+        cache_dir: args.get("cache-dir").map(PathBuf::from),
+        progress: progress(args),
+        max_retries: args.u32_or("retries", 0)?,
+        cell_timeout: args.positive_millis("cell-timeout-ms")?,
+        poison: std::env::var("ORION_EXP_PANIC_CELL").ok(),
+        checkpoint_every: args.u64_or("checkpoint-every", 0)?,
+        shards: args.positive("shards")?.unwrap_or(1),
+    };
+    let audit_every = args.u64_opt("audit-every")?;
+    Ok(run_grid(args, &opts, audit_every).unwrap_or_else(|failure| failure))
+}
+
+fn run_grid(
+    args: &Args,
+    opts: &EngineOptions,
     audit_every: Option<u64>,
-    checkpoint_every: u64,
-    shards: usize,
-    json: bool,
-    quiet: bool,
-}
-
-fn parse_args(tokens: &[String]) -> Result<ExperimentArgs, ArgError> {
-    let mut it = tokens.iter();
-    match it.next().map(String::as_str) {
-        Some("run") => {}
-        Some(other) => {
-            return Err(ArgError(format!(
-                "unknown experiment subcommand `{other}`\n{EXPERIMENT_USAGE}"
-            )))
-        }
-        None => return Err(ArgError(format!("missing subcommand\n{EXPERIMENT_USAGE}"))),
+) -> Result<CmdOutput, CmdOutput> {
+    let mut spec = load_spec(args, ExperimentSpec::parse)?;
+    if let Some(n) = audit_every {
+        spec.measure.audit_every = n;
     }
+    let (records, summary) = run_spec(&spec, opts).map_err(|e| engine_error("engine", e))?;
+    let out_dir = out_dir(args);
+    let artifacts = write_artifacts(&out_dir, &spec.name, &records)
+        .map_err(|e| write_error("artifacts", &out_dir, e))?;
 
-    let mut spec_path: Option<PathBuf> = None;
-    let mut threads = 1usize;
-    let mut cache_dir = None;
-    let mut out_dir = PathBuf::from("experiments");
-    let mut retries = 0u32;
-    let mut cell_timeout = None;
-    let mut audit_every = None;
-    let mut checkpoint_every = 0u64;
-    let mut shards = 1usize;
-    let mut json = false;
-    let mut quiet = false;
-
-    let value = |it: &mut std::slice::Iter<String>, name: &str| -> Result<String, ArgError> {
-        it.next()
-            .filter(|v| !v.starts_with("--"))
-            .cloned()
-            .ok_or_else(|| ArgError(format!("--{name} requires a value")))
+    let elapsed = summary.elapsed.as_secs_f64();
+    let text = if args.flag("json") {
+        format!(
+            concat!(
+                "{{\n",
+                "  \"schema_version\": {},\n",
+                "  \"experiment\": \"{}\",\n",
+                "  \"cells\": {},\n",
+                "  \"simulated\": {},\n",
+                "  \"cache_hits\": {},\n",
+                "  \"failed\": {},\n",
+                "  \"crashed\": {},\n",
+                "  \"timed_out\": {},\n",
+                "  \"retried\": {},\n",
+                "  \"corrupted\": {},\n",
+                "  \"corrupt_cache_lines\": {},\n",
+                "  \"append_failures\": {},\n",
+                "  \"elapsed_s\": {:.3},\n",
+                "  \"artifacts\": {{\"jsonl\": \"{}\", \"csv\": \"{}\"}}\n",
+                "}}\n"
+            ),
+            JSON_SCHEMA_VERSION,
+            spec.name,
+            summary.total,
+            summary.simulated,
+            summary.cache_hits,
+            summary.failed,
+            summary.crashed,
+            summary.timed_out,
+            summary.retried,
+            summary.corrupted,
+            summary.corrupt_cache_lines,
+            summary.append_failures,
+            elapsed,
+            json_path(&artifacts.jsonl),
+            json_path(&artifacts.csv),
+        )
+    } else {
+        let mut out = format!(
+            "experiment {}: {} cells, {} simulated, {} cached, {} failed in {:.1}s\n",
+            spec.name,
+            summary.total,
+            summary.simulated,
+            summary.cache_hits,
+            summary.failed,
+            elapsed,
+        );
+        if summary.crashed > 0 || summary.timed_out > 0 || summary.retried > 0 {
+            out.push_str(&format!(
+                "supervision: {} crashed, {} timed out, {} recovered by retry\n",
+                summary.crashed, summary.timed_out, summary.retried
+            ));
+        }
+        if summary.corrupted > 0 {
+            out.push_str(&format!(
+                "warning: {} cell(s) failed the runtime invariant audit (outcome `corrupted`)\n",
+                summary.corrupted
+            ));
+        }
+        if summary.corrupt_cache_lines > 0 {
+            out.push_str(&format!(
+                "warning: skipped {} corrupt cache line(s); affected cells re-simulated\n",
+                summary.corrupt_cache_lines
+            ));
+        }
+        if let Some(e) = &summary.append_error {
+            out.push_str(&format!(
+                "warning: cache append broke mid-run ({} record(s) not cached): {e}\n",
+                summary.append_failures
+            ));
+        }
+        out.push_str(&format!(
+            "artifacts: {}, {}\n",
+            artifacts.jsonl.display(),
+            artifacts.csv.display()
+        ));
+        out
     };
 
-    while let Some(tok) = it.next() {
-        match tok.as_str() {
-            "--threads" => {
-                let v = value(&mut it, "threads")?;
-                threads = v
-                    .parse()
-                    .map_err(|_| ArgError(format!("--threads expects an integer, got `{v}`")))?;
-            }
-            "--cache-dir" => cache_dir = Some(PathBuf::from(value(&mut it, "cache-dir")?)),
-            "--out-dir" => out_dir = PathBuf::from(value(&mut it, "out-dir")?),
-            "--retries" => {
-                let v = value(&mut it, "retries")?;
-                retries = v
-                    .parse()
-                    .map_err(|_| ArgError(format!("--retries expects an integer, got `{v}`")))?;
-            }
-            "--cell-timeout-ms" => {
-                let v = value(&mut it, "cell-timeout-ms")?;
-                let ms: u64 = v.parse().map_err(|_| {
-                    ArgError(format!("--cell-timeout-ms expects an integer, got `{v}`"))
-                })?;
-                if ms == 0 {
-                    return Err(ArgError("--cell-timeout-ms must be positive".into()));
-                }
-                cell_timeout = Some(Duration::from_millis(ms));
-            }
-            "--audit-every" => {
-                let v = value(&mut it, "audit-every")?;
-                audit_every = Some(v.parse().map_err(|_| {
-                    ArgError(format!("--audit-every expects an integer, got `{v}`"))
-                })?);
-            }
-            "--checkpoint-every" => {
-                let v = value(&mut it, "checkpoint-every")?;
-                checkpoint_every = v.parse().map_err(|_| {
-                    ArgError(format!("--checkpoint-every expects an integer, got `{v}`"))
-                })?;
-            }
-            "--shards" => {
-                let v = value(&mut it, "shards")?;
-                shards = v
-                    .parse()
-                    .map_err(|_| ArgError(format!("--shards expects an integer, got `{v}`")))?;
-                if shards == 0 {
-                    return Err(ArgError("--shards must be positive".into()));
-                }
-            }
-            "--json" => json = true,
-            "--quiet" => quiet = true,
-            opt if opt.starts_with("--") => {
-                return Err(ArgError(format!(
-                    "unknown option `{opt}` for `experiment run`\n{EXPERIMENT_USAGE}"
-                )))
-            }
-            path if spec_path.is_none() => spec_path = Some(PathBuf::from(path)),
-            extra => {
-                return Err(ArgError(format!(
-                    "unexpected positional argument `{extra}`\n{EXPERIMENT_USAGE}"
-                )))
-            }
-        }
-    }
-
-    Ok(ExperimentArgs {
-        spec_path: spec_path
-            .ok_or_else(|| ArgError(format!("missing spec path\n{EXPERIMENT_USAGE}")))?,
-        threads,
-        cache_dir,
-        out_dir,
-        retries,
-        cell_timeout,
-        audit_every,
-        checkpoint_every,
-        shards,
-        json,
-        quiet,
-    })
+    let code = if summary.is_degraded() {
+        EXIT_DEGRADED
+    } else {
+        0
+    };
+    Ok(CmdOutput { text, code })
 }
 
-struct ExploreArgs {
-    spec_path: PathBuf,
-    threads: usize,
-    cache_dir: Option<PathBuf>,
-    out_dir: PathBuf,
-    seed: Option<u64>,
-    budget: Option<usize>,
-    retries: u32,
-    cell_timeout: Option<Duration>,
-    checkpoint_every: u64,
-    shards: usize,
-    observe_dir: Option<PathBuf>,
-    json: bool,
-    quiet: bool,
-}
-
-fn parse_explore_args(tokens: &[String]) -> Result<ExploreArgs, ArgError> {
-    let mut it = tokens.iter();
-    let mut spec_path: Option<PathBuf> = None;
-    let mut threads = 1usize;
-    let mut cache_dir = None;
-    let mut out_dir = PathBuf::from("experiments");
-    let mut seed = None;
-    let mut budget = None;
-    let mut retries = 0u32;
-    let mut cell_timeout = None;
-    let mut checkpoint_every = 0u64;
-    let mut shards = 1usize;
-    let mut observe_dir = None;
-    let mut json = false;
-    let mut quiet = false;
-
-    let value = |it: &mut std::slice::Iter<String>, name: &str| -> Result<String, ArgError> {
-        it.next()
-            .filter(|v| !v.starts_with("--"))
-            .cloned()
-            .ok_or_else(|| ArgError(format!("--{name} requires a value")))
-    };
-
-    while let Some(tok) = it.next() {
-        match tok.as_str() {
-            "--threads" => {
-                let v = value(&mut it, "threads")?;
-                threads = v
-                    .parse()
-                    .map_err(|_| ArgError(format!("--threads expects an integer, got `{v}`")))?;
-            }
-            "--cache-dir" => cache_dir = Some(PathBuf::from(value(&mut it, "cache-dir")?)),
-            "--out-dir" => out_dir = PathBuf::from(value(&mut it, "out-dir")?),
-            "--observe-dir" => observe_dir = Some(PathBuf::from(value(&mut it, "observe-dir")?)),
-            "--seed" => {
-                let v = value(&mut it, "seed")?;
-                seed = Some(
-                    v.parse()
-                        .map_err(|_| ArgError(format!("--seed expects an integer, got `{v}`")))?,
-                );
-            }
-            "--budget" => {
-                let v = value(&mut it, "budget")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| ArgError(format!("--budget expects an integer, got `{v}`")))?;
-                if n == 0 {
-                    return Err(ArgError("--budget must be positive".into()));
-                }
-                budget = Some(n);
-            }
-            "--retries" => {
-                let v = value(&mut it, "retries")?;
-                retries = v
-                    .parse()
-                    .map_err(|_| ArgError(format!("--retries expects an integer, got `{v}`")))?;
-            }
-            "--cell-timeout-ms" => {
-                let v = value(&mut it, "cell-timeout-ms")?;
-                let ms: u64 = v.parse().map_err(|_| {
-                    ArgError(format!("--cell-timeout-ms expects an integer, got `{v}`"))
-                })?;
-                if ms == 0 {
-                    return Err(ArgError("--cell-timeout-ms must be positive".into()));
-                }
-                cell_timeout = Some(Duration::from_millis(ms));
-            }
-            "--checkpoint-every" => {
-                let v = value(&mut it, "checkpoint-every")?;
-                checkpoint_every = v.parse().map_err(|_| {
-                    ArgError(format!("--checkpoint-every expects an integer, got `{v}`"))
-                })?;
-            }
-            "--shards" => {
-                let v = value(&mut it, "shards")?;
-                shards = v
-                    .parse()
-                    .map_err(|_| ArgError(format!("--shards expects an integer, got `{v}`")))?;
-                if shards == 0 {
-                    return Err(ArgError("--shards must be positive".into()));
-                }
-            }
-            "--json" => json = true,
-            "--quiet" => quiet = true,
-            opt if opt.starts_with("--") => {
-                return Err(ArgError(format!(
-                    "unknown option `{opt}` for `experiment explore`\n{EXPERIMENT_USAGE}"
-                )))
-            }
-            path if spec_path.is_none() => spec_path = Some(PathBuf::from(path)),
-            extra => {
-                return Err(ArgError(format!(
-                    "unexpected positional argument `{extra}`\n{EXPERIMENT_USAGE}"
-                )))
-            }
-        }
-    }
-
-    Ok(ExploreArgs {
-        spec_path: spec_path
-            .ok_or_else(|| ArgError(format!("missing spec path\n{EXPERIMENT_USAGE}")))?,
-        threads,
-        cache_dir,
-        out_dir,
-        seed,
-        budget,
-        retries,
-        cell_timeout,
-        checkpoint_every,
-        shards,
-        observe_dir,
-        json,
-        quiet,
-    })
-}
-
-fn execute_explore(tokens: &[String]) -> CmdOutput {
-    let args = match parse_explore_args(tokens) {
-        Ok(a) => a,
-        Err(e) => {
-            return CmdOutput {
-                text: format!("error: {e}\n"),
-                code: EXIT_BAD_INPUT,
-            }
-        }
-    };
-
-    let text = match std::fs::read_to_string(&args.spec_path) {
-        Ok(t) => t,
-        Err(e) => {
-            return CmdOutput {
-                text: format!("error: cannot read `{}`: {e}\n", args.spec_path.display()),
-                code: EXIT_BAD_INPUT,
-            }
-        }
-    };
-    let spec = match ExploreSpec::parse(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            return CmdOutput {
-                text: format!("error: {}: {e}\n", args.spec_path.display()),
-                code: EXIT_BAD_INPUT,
-            }
-        }
-    };
-
+/// Runs `experiment explore <spec.toml>`: a budgeted design-space
+/// search, then the frontier/dominated artifacts and a summary.
+///
+/// # Errors
+///
+/// Returns an [`ArgError`] for malformed or out-of-range options.
+pub fn explore(args: &Args) -> Result<CmdOutput, ArgError> {
     let opts = ExploreOptions {
-        threads: args.threads,
-        cache_dir: args.cache_dir.clone(),
-        progress: !args.quiet && !args.json,
-        max_retries: args.retries,
-        cell_timeout: args.cell_timeout,
-        seed: args.seed,
-        budget: args.budget,
-        checkpoint_every: args.checkpoint_every,
-        shards: args.shards,
+        threads: args.u64_or("threads", 1)? as usize,
+        cache_dir: args.get("cache-dir").map(PathBuf::from),
+        progress: progress(args),
+        max_retries: args.u32_or("retries", 0)?,
+        cell_timeout: args.positive_millis("cell-timeout-ms")?,
+        seed: args.u64_opt("seed")?,
+        budget: args.positive("budget")?,
+        checkpoint_every: args.u64_or("checkpoint-every", 0)?,
+        shards: args.positive("shards")?.unwrap_or(1),
     };
-    let report = match run_explore(&spec, &opts) {
-        Ok(r) => r,
-        Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-            return CmdOutput {
-                text: format!("error: {e}\n"),
-                code: EXIT_BAD_INPUT,
-            }
-        }
-        Err(e) => {
-            return CmdOutput {
-                text: format!("error: explore I/O failure: {e}\n"),
-                code: EXIT_RUNTIME,
-            }
-        }
-    };
-    let artifacts = match write_explore_artifacts(&args.out_dir, &spec.name, &report.points) {
-        Ok(a) => a,
-        Err(e) => {
-            return CmdOutput {
-                text: format!(
-                    "error: cannot write artifacts under `{}`: {e}\n",
-                    args.out_dir.display()
-                ),
-                code: EXIT_RUNTIME,
-            }
-        }
-    };
-    if let Some(dir) = &args.observe_dir {
-        if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| {
-            std::fs::write(dir.join("metrics.json"), report.metrics.to_json())?;
-            std::fs::write(dir.join("metrics.csv"), report.metrics.to_csv())
-        }) {
-            return CmdOutput {
-                text: format!(
-                    "error: cannot write metrics under `{}`: {e}\n",
-                    dir.display()
-                ),
-                code: EXIT_RUNTIME,
-            };
-        }
+    Ok(search(args, &opts).unwrap_or_else(|failure| failure))
+}
+
+fn search(args: &Args, opts: &ExploreOptions) -> Result<CmdOutput, CmdOutput> {
+    let spec = load_spec(args, ExploreSpec::parse)?;
+    let report = run_explore(&spec, opts).map_err(|e| engine_error("explore", e))?;
+    let out_dir = out_dir(args);
+    let artifacts = write_explore_artifacts(&out_dir, &spec.name, &report.points)
+        .map_err(|e| write_error("artifacts", &out_dir, e))?;
+    if let Some(dir) = args.get("observe-dir").map(Path::new) {
+        std::fs::create_dir_all(dir)
+            .and_then(|()| {
+                std::fs::write(dir.join("metrics.json"), report.metrics.to_json())?;
+                std::fs::write(dir.join("metrics.csv"), report.metrics.to_csv())
+            })
+            .map_err(|e| write_error("metrics", dir, e))?;
     }
 
     let summary = &report.summary;
     let elapsed = summary.elapsed.as_secs_f64();
-    let text = if args.json {
+    let text = if args.flag("json") {
         format!(
             concat!(
                 "{{\n",
@@ -486,170 +329,7 @@ fn execute_explore(tokens: &[String]) -> CmdOutput {
     } else {
         0
     };
-    CmdOutput { text, code }
-}
-
-/// Executes `experiment <tokens...>`, returning rendered output and
-/// the exit code (never panics; every failure maps to a coded result).
-pub fn execute(tokens: &[String]) -> CmdOutput {
-    if tokens.first().map(String::as_str) == Some("explore") {
-        return execute_explore(&tokens[1..]);
-    }
-    let args = match parse_args(tokens) {
-        Ok(a) => a,
-        Err(e) => {
-            return CmdOutput {
-                text: format!("error: {e}\n"),
-                code: EXIT_BAD_INPUT,
-            }
-        }
-    };
-
-    let text = match std::fs::read_to_string(&args.spec_path) {
-        Ok(t) => t,
-        Err(e) => {
-            return CmdOutput {
-                text: format!("error: cannot read `{}`: {e}\n", args.spec_path.display()),
-                code: EXIT_BAD_INPUT,
-            }
-        }
-    };
-    let mut spec = match ExperimentSpec::parse(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            return CmdOutput {
-                text: format!("error: {}: {e}\n", args.spec_path.display()),
-                code: EXIT_BAD_INPUT,
-            }
-        }
-    };
-    if let Some(n) = args.audit_every {
-        spec.measure.audit_every = n;
-    }
-
-    let opts = EngineOptions {
-        threads: args.threads,
-        cache_dir: args.cache_dir.clone(),
-        progress: !args.quiet && !args.json,
-        max_retries: args.retries,
-        cell_timeout: args.cell_timeout,
-        poison: std::env::var("ORION_EXP_PANIC_CELL").ok(),
-        checkpoint_every: args.checkpoint_every,
-        shards: args.shards,
-    };
-    let (records, summary) = match run_spec(&spec, &opts) {
-        Ok(r) => r,
-        Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-            return CmdOutput {
-                text: format!("error: {e}\n"),
-                code: EXIT_BAD_INPUT,
-            }
-        }
-        Err(e) => {
-            return CmdOutput {
-                text: format!("error: engine I/O failure: {e}\n"),
-                code: EXIT_RUNTIME,
-            }
-        }
-    };
-    let artifacts = match write_artifacts(&args.out_dir, &spec.name, &records) {
-        Ok(a) => a,
-        Err(e) => {
-            return CmdOutput {
-                text: format!(
-                    "error: cannot write artifacts under `{}`: {e}\n",
-                    args.out_dir.display()
-                ),
-                code: EXIT_RUNTIME,
-            }
-        }
-    };
-
-    let elapsed = summary.elapsed.as_secs_f64();
-    let text = if args.json {
-        format!(
-            concat!(
-                "{{\n",
-                "  \"schema_version\": {},\n",
-                "  \"experiment\": \"{}\",\n",
-                "  \"cells\": {},\n",
-                "  \"simulated\": {},\n",
-                "  \"cache_hits\": {},\n",
-                "  \"failed\": {},\n",
-                "  \"crashed\": {},\n",
-                "  \"timed_out\": {},\n",
-                "  \"retried\": {},\n",
-                "  \"corrupted\": {},\n",
-                "  \"corrupt_cache_lines\": {},\n",
-                "  \"append_failures\": {},\n",
-                "  \"elapsed_s\": {:.3},\n",
-                "  \"artifacts\": {{\"jsonl\": \"{}\", \"csv\": \"{}\"}}\n",
-                "}}\n"
-            ),
-            JSON_SCHEMA_VERSION,
-            spec.name,
-            summary.total,
-            summary.simulated,
-            summary.cache_hits,
-            summary.failed,
-            summary.crashed,
-            summary.timed_out,
-            summary.retried,
-            summary.corrupted,
-            summary.corrupt_cache_lines,
-            summary.append_failures,
-            elapsed,
-            json_path(&artifacts.jsonl),
-            json_path(&artifacts.csv),
-        )
-    } else {
-        let mut out = format!(
-            "experiment {}: {} cells, {} simulated, {} cached, {} failed in {:.1}s\n",
-            spec.name,
-            summary.total,
-            summary.simulated,
-            summary.cache_hits,
-            summary.failed,
-            elapsed,
-        );
-        if summary.crashed > 0 || summary.timed_out > 0 || summary.retried > 0 {
-            out.push_str(&format!(
-                "supervision: {} crashed, {} timed out, {} recovered by retry\n",
-                summary.crashed, summary.timed_out, summary.retried
-            ));
-        }
-        if summary.corrupted > 0 {
-            out.push_str(&format!(
-                "warning: {} cell(s) failed the runtime invariant audit (outcome `corrupted`)\n",
-                summary.corrupted
-            ));
-        }
-        if summary.corrupt_cache_lines > 0 {
-            out.push_str(&format!(
-                "warning: skipped {} corrupt cache line(s); affected cells re-simulated\n",
-                summary.corrupt_cache_lines
-            ));
-        }
-        if let Some(e) = &summary.append_error {
-            out.push_str(&format!(
-                "warning: cache append broke mid-run ({} record(s) not cached): {e}\n",
-                summary.append_failures
-            ));
-        }
-        out.push_str(&format!(
-            "artifacts: {}, {}\n",
-            artifacts.jsonl.display(),
-            artifacts.csv.display()
-        ));
-        out
-    };
-
-    let code = if summary.is_degraded() {
-        EXIT_DEGRADED
-    } else {
-        0
-    };
-    CmdOutput { text, code }
+    Ok(CmdOutput { text, code })
 }
 
 #[cfg(test)]
@@ -660,6 +340,13 @@ mod tests {
 
     fn toks(line: &str) -> Vec<String> {
         line.split_whitespace().map(String::from).collect()
+    }
+
+    fn execute(tokens: &[String]) -> CmdOutput {
+        let line: Vec<String> = std::iter::once("experiment".to_string())
+            .chain(tokens.iter().cloned())
+            .collect();
+        crate::run::dispatch(&line)
     }
 
     fn temp_dir(tag: &str) -> PathBuf {

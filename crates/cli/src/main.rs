@@ -34,9 +34,11 @@
 //!     --cache-dir .exp-cache --out-dir experiments
 //! ```
 //!
-//! Exit codes are structured for scripting: 0 success, 1 runtime I/O
-//! failure, 2 bad input, 3 degraded result (non-completed simulation
-//! or failed experiment cells).
+//! Every subcommand is parsed against one grammar table
+//! ([`run::COMMANDS`]). Exit codes are structured for scripting:
+//! 0 success, 1 runtime I/O failure, 2 bad input, 3 degraded result
+//! (non-completed simulation or failed experiment cells). Exit-1 and
+//! exit-2 text goes to stderr, everything else to stdout.
 
 mod args;
 mod experiment;
@@ -50,33 +52,13 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let tokens: Vec<String> = std::env::args().skip(1).collect();
-    if tokens.is_empty() || tokens[0] == "help" || tokens[0] == "--help" {
-        print!("{}", run::USAGE);
-        return ExitCode::SUCCESS;
-    }
-    // `experiment` takes a positional spec path, which the option-only
-    // Args grammar would reject — dispatch it on raw tokens.
-    if tokens[0] == "experiment" {
-        let out = experiment::execute(&tokens[1..]);
+    let out = run::dispatch(&tokens);
+    // Failures (I/O and bad input) go to stderr; reports, including
+    // degraded ones, go to stdout.
+    if matches!(out.code, run::EXIT_RUNTIME | run::EXIT_BAD_INPUT) {
+        eprint!("{}", out.text);
+    } else {
         print!("{}", out.text);
-        return ExitCode::from(out.code);
     }
-    // `serve` blocks until drained and installs signal handlers —
-    // dispatch it on raw tokens too.
-    if tokens[0] == "serve" {
-        let out = serve::execute(&tokens[1..]);
-        print!("{}", out.text);
-        return ExitCode::from(out.code);
-    }
-    match args::Args::parse(tokens).and_then(|a| run::run(&a)) {
-        Ok(output) => {
-            print!("{}", output.text);
-            ExitCode::from(output.code)
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("run `orion-power-cli help` for usage");
-            ExitCode::from(run::EXIT_BAD_INPUT)
-        }
-    }
+    ExitCode::from(out.code)
 }

@@ -33,10 +33,9 @@ struct NodeCell {
 ///
 /// # Errors
 ///
-/// Returns an [`ArgError`] for unknown options or a missing input
+/// Returns an [`ArgError`] for a missing or doubly given input
 /// location.
 pub fn powermap(args: &Args) -> Result<CmdOutput, ArgError> {
-    args.ensure_known(&["observe-dir", "file"])?;
     let path = match (args.get("file"), args.get("observe-dir")) {
         (Some(f), None) => PathBuf::from(f),
         (None, Some(d)) => PathBuf::from(d).join("powermap.jsonl"),
@@ -54,19 +53,16 @@ pub fn powermap(args: &Args) -> Result<CmdOutput, ArgError> {
     let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
         Err(e) => {
-            return Ok(CmdOutput {
-                text: format!("error: cannot read `{}`: {e}\n", path.display()),
-                code: EXIT_RUNTIME,
-            })
+            return Ok(CmdOutput::error(
+                EXIT_RUNTIME,
+                format_args!("cannot read `{}`: {e}", path.display()),
+            ))
         }
     };
-    match render(&text) {
-        Ok(rendered) => Ok(CmdOutput::ok(rendered)),
-        Err(e) => Ok(CmdOutput {
-            text: format!("error: {}: {e}\n", path.display()),
-            code: EXIT_BAD_INPUT,
-        }),
-    }
+    Ok(match render(&text) {
+        Ok(rendered) => CmdOutput::ok(rendered),
+        Err(e) => CmdOutput::error(EXIT_BAD_INPUT, format_args!("{}: {e}", path.display())),
+    })
 }
 
 fn parse_line(line: &str, number: usize) -> Result<NodeCell, String> {
@@ -209,7 +205,8 @@ mod tests {
     }
 
     fn run_powermap(line: &str) -> Result<CmdOutput, ArgError> {
-        powermap(&Args::parse(line.split_whitespace().map(String::from)).unwrap())
+        let tokens: Vec<String> = line.split_whitespace().map(String::from).collect();
+        crate::run::run(&tokens)
     }
 
     #[test]

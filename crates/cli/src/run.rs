@@ -1,4 +1,6 @@
-//! Subcommand dispatch: build the requested power model and report it.
+//! Subcommand dispatch: the grammar table every command line is parsed
+//! against, and the component commands that build a power model and
+//! report it.
 
 use orion_power::{
     buffer_area, central_buffer_area, crossbar_area, ArbiterKind, ArbiterParams, ArbiterPower,
@@ -7,7 +9,7 @@ use orion_power::{
 };
 use orion_tech::{Microns, ProcessNode, Technology, Volts, Watts};
 
-use crate::args::{ArgError, Args};
+use crate::args::{ArgError, Args, Grammar};
 use crate::report::Report;
 
 /// Usage text for `orion-power help`.
@@ -16,16 +18,19 @@ orion-power-cli — Orion's architectural power models as a standalone tool
 
 USAGE:
   orion-power-cli <component> [options]
-  orion-power-cli experiment run <spec.toml> [options]
+  orion-power-cli experiment run|explore <spec.toml> [options]
+  orion-power-cli serve [options]
 
 COMPONENTS:
   buffer          --flits N --bits N [--read-ports N] [--write-ports N] [--decoder]
-  crossbar        --ports N --bits N [--kind matrix|muxtree]
+  crossbar        (--ports N | --inputs N --outputs N) --bits N
+                  [--kind matrix|muxtree]
   arbiter         --requesters N [--kind matrix|roundrobin|queuing]
   link            --length-mm X --bits N          (on-chip)
   link            --chip2chip --watts X --bits N  (constant-power)
   central-buffer  --banks N --rows N --bits N [--read-ports N] [--write-ports N]
   simulate        [--preset wh64|vc16|vc64|vc128|xb|cb] [--rate X] [--seed N]
+                  [--topology KxK[xK][-mesh]] [--shards N]
                   [--warmup N] [--sample N] [--max-cycles N]
                   [--watchdog-cycles N] [--audit-every N] [--fault-links N]
                   [--fault-rate X] [--fault-ports N] [--fault-seed N]
@@ -38,17 +43,17 @@ COMPONENTS:
                   (renders the per-node power map of an observed run)
   experiment run  <spec.toml> [--threads N] [--cache-dir DIR] [--out-dir DIR]
                   [--retries N] [--cell-timeout-ms N] [--audit-every N]
-                  [--checkpoint-every N] [--json] [--quiet]
+                  [--checkpoint-every N] [--shards N] [--json] [--quiet]
                   (see docs/ORCHESTRATION.md)
   experiment explore  <spec.toml> [--threads N] [--cache-dir DIR]
                   [--out-dir DIR] [--seed N] [--budget N] [--retries N]
-                  [--cell-timeout-ms N] [--checkpoint-every N]
+                  [--cell-timeout-ms N] [--checkpoint-every N] [--shards N]
                   [--observe-dir DIR] [--json] [--quiet]
                   (see docs/EXPLORATION.md)
   serve           [--addr HOST:PORT] [--cache-dir DIR] [--workers N]
                   [--queue N] [--queue-patience-ms N] [--client-budget N]
                   [--retries N] [--cell-timeout-ms N] [--drain-timeout-ms N]
-                  [--max-body-bytes N] [--checkpoint-every N]
+                  [--max-body-bytes N] [--checkpoint-every N] [--shards N]
                   (see docs/SERVING.md)
 
 COMMON OPTIONS:
@@ -126,9 +131,169 @@ impl CmdOutput {
     pub fn ok(text: String) -> CmdOutput {
         CmdOutput { text, code: 0 }
     }
+
+    /// An `error:` line with the given exit code.
+    pub fn error(code: u8, message: impl std::fmt::Display) -> CmdOutput {
+        CmdOutput {
+            text: format!("error: {message}\n"),
+            code,
+        }
+    }
 }
 
-const COMMON: [&str; 2] = ["node", "vdd"];
+/// One subcommand: its name (`experiment run` and `experiment
+/// explore` are two words), what it accepts, and its entry point.
+pub struct Command {
+    /// The command name as typed.
+    pub name: &'static str,
+    /// The options, flags and positional argument it accepts.
+    pub grammar: Grammar,
+    run: fn(&Args) -> Result<CmdOutput, ArgError>,
+}
+
+/// Every subcommand. [`USAGE`] documents each option listed here.
+pub const COMMANDS: &[Command] = &[
+    Command {
+        name: "buffer",
+        grammar: Grammar::new(
+            &["node", "vdd", "flits", "bits", "read-ports", "write-ports"],
+            &["decoder"],
+        ),
+        run: |a| buffer(a).map(CmdOutput::ok),
+    },
+    Command {
+        name: "crossbar",
+        grammar: Grammar::new(
+            &["node", "vdd", "ports", "inputs", "outputs", "bits", "kind"],
+            &[],
+        ),
+        run: |a| crossbar(a).map(CmdOutput::ok),
+    },
+    Command {
+        name: "arbiter",
+        grammar: Grammar::new(&["node", "vdd", "requesters", "kind"], &[]),
+        run: |a| arbiter(a).map(CmdOutput::ok),
+    },
+    Command {
+        name: "link",
+        grammar: Grammar::new(
+            &["node", "vdd", "length-mm", "bits", "watts"],
+            &["chip2chip"],
+        ),
+        run: |a| link(a).map(CmdOutput::ok),
+    },
+    Command {
+        name: "central-buffer",
+        grammar: Grammar::new(
+            &[
+                "node",
+                "vdd",
+                "banks",
+                "rows",
+                "bits",
+                "read-ports",
+                "write-ports",
+            ],
+            &[],
+        ),
+        run: |a| central_buffer(a).map(CmdOutput::ok),
+    },
+    Command {
+        name: "simulate",
+        grammar: Grammar::new(
+            &[
+                "preset",
+                "topology",
+                "shards",
+                "rate",
+                "seed",
+                "warmup",
+                "sample",
+                "max-cycles",
+                "watchdog-cycles",
+                "audit-every",
+                "fault-links",
+                "fault-rate",
+                "fault-ports",
+                "fault-seed",
+                "traffic",
+                "traffic-src",
+                "observe-dir",
+                "sample-every",
+                "trace-packets",
+                "checkpoint-every",
+                "checkpoint-file",
+                "resume-from",
+            ],
+            &["json"],
+        ),
+        run: crate::simulate::simulate,
+    },
+    Command {
+        name: "powermap",
+        grammar: Grammar::new(&["observe-dir", "file"], &[]),
+        run: crate::powermap::powermap,
+    },
+    Command {
+        name: "experiment run",
+        grammar: Grammar::new(
+            &[
+                "threads",
+                "cache-dir",
+                "out-dir",
+                "retries",
+                "cell-timeout-ms",
+                "audit-every",
+                "checkpoint-every",
+                "shards",
+            ],
+            &["json", "quiet"],
+        )
+        .with_positional("spec path"),
+        run: crate::experiment::run,
+    },
+    Command {
+        name: "experiment explore",
+        grammar: Grammar::new(
+            &[
+                "threads",
+                "cache-dir",
+                "out-dir",
+                "observe-dir",
+                "seed",
+                "budget",
+                "retries",
+                "cell-timeout-ms",
+                "checkpoint-every",
+                "shards",
+            ],
+            &["json", "quiet"],
+        )
+        .with_positional("spec path"),
+        run: crate::experiment::explore,
+    },
+    Command {
+        name: "serve",
+        grammar: Grammar::new(
+            &[
+                "addr",
+                "cache-dir",
+                "workers",
+                "queue",
+                "queue-patience-ms",
+                "client-budget",
+                "retries",
+                "cell-timeout-ms",
+                "drain-timeout-ms",
+                "max-body-bytes",
+                "checkpoint-every",
+                "shards",
+            ],
+            &[],
+        ),
+        run: crate::serve::execute,
+    },
+];
 
 fn technology(args: &Args) -> Result<Technology, ArgError> {
     let node = match args.get("node").unwrap_or("0.1um") {
@@ -158,44 +323,63 @@ fn model_err(e: orion_power::ModelError) -> ArgError {
     ArgError(e.to_string())
 }
 
-fn allowed(extra: &[&str]) -> Vec<&'static str> {
-    // Leaks are fine here: tiny, once per process.
-    let mut v: Vec<&'static str> = COMMON.to_vec();
-    for e in extra {
-        v.push(Box::leak(e.to_string().into_boxed_str()));
-    }
-    v
-}
-
-/// Executes a parsed command line, returning the rendered report and
-/// the exit code to use (`simulate` signals degraded outcomes via
-/// [`EXIT_DEGRADED`]).
+/// Finds the command `tokens` (program name excluded) name and parses
+/// the rest against its grammar.
 ///
 /// # Errors
 ///
-/// Returns a human-readable [`ArgError`] for unknown components,
-/// unknown or malformed options, and invalid model parameters.
-pub fn run(args: &Args) -> Result<CmdOutput, ArgError> {
-    match args.command.as_str() {
-        "buffer" => buffer(args).map(CmdOutput::ok),
-        "crossbar" => crossbar(args).map(CmdOutput::ok),
-        "arbiter" => arbiter(args).map(CmdOutput::ok),
-        "link" => link(args).map(CmdOutput::ok),
-        "central-buffer" => central_buffer(args).map(CmdOutput::ok),
-        "simulate" => crate::simulate::simulate(args),
-        "powermap" => crate::powermap::powermap(args),
-        other => Err(ArgError(format!("unknown component `{other}`"))),
+/// Returns an [`ArgError`] for a missing or unknown command and for
+/// anything [`Args::parse`] rejects.
+pub fn parse(tokens: &[String]) -> Result<(&'static Command, Args), ArgError> {
+    let (name, rest) = match tokens {
+        [] => return Err(ArgError("missing command".into())),
+        [first] if first == "experiment" => {
+            return Err(ArgError(
+                "missing experiment subcommand (run|explore)".into(),
+            ))
+        }
+        [first, sub, rest @ ..] if first == "experiment" => (format!("experiment {sub}"), rest),
+        [first, rest @ ..] => (first.clone(), rest),
+    };
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| ArgError(format!("unknown command `{name}`")))?;
+    Ok((command, Args::parse(command.name, rest, &command.grammar)?))
+}
+
+/// Parses and executes a command line, returning the rendered report
+/// and the exit code it asks for. No tokens, `help` or `--help` render
+/// [`USAGE`].
+///
+/// # Errors
+///
+/// Returns a human-readable [`ArgError`] for unknown commands,
+/// unknown, value-less or malformed options, and invalid model
+/// parameters.
+pub fn run(tokens: &[String]) -> Result<CmdOutput, ArgError> {
+    if matches!(
+        tokens.first().map(String::as_str),
+        None | Some("help" | "--help")
+    ) {
+        return Ok(CmdOutput::ok(USAGE.to_string()));
     }
+    let (command, args) = parse(tokens)?;
+    (command.run)(&args)
+}
+
+/// The binary's one entry point: [`run`], with any [`ArgError`] mapped
+/// to [`EXIT_BAD_INPUT`] and a pointer to `help`.
+pub fn dispatch(tokens: &[String]) -> CmdOutput {
+    run(tokens).unwrap_or_else(|e| {
+        CmdOutput::error(
+            EXIT_BAD_INPUT,
+            format_args!("{e}\nrun `orion-power-cli help` for usage"),
+        )
+    })
 }
 
 fn buffer(args: &Args) -> Result<String, ArgError> {
-    args.ensure_known(&allowed(&[
-        "flits",
-        "bits",
-        "read-ports",
-        "write-ports",
-        "decoder",
-    ]))?;
     let tech = technology(args)?;
     let flits = args.u32_required("flits")?;
     let bits = args.u32_required("bits")?;
@@ -236,7 +420,6 @@ fn buffer(args: &Args) -> Result<String, ArgError> {
 }
 
 fn crossbar(args: &Args) -> Result<String, ArgError> {
-    args.ensure_known(&allowed(&["ports", "inputs", "outputs", "bits", "kind"]))?;
     let tech = technology(args)?;
     let bits = args.u32_required("bits")?;
     let (inputs, outputs) = match args.get("ports") {
@@ -272,7 +455,6 @@ fn crossbar(args: &Args) -> Result<String, ArgError> {
 }
 
 fn arbiter(args: &Args) -> Result<String, ArgError> {
-    args.ensure_known(&allowed(&["requesters", "kind"]))?;
     let tech = technology(args)?;
     let requesters = args.u32_required("requesters")?;
     let kind = match args.get("kind").unwrap_or("matrix") {
@@ -302,7 +484,6 @@ fn arbiter(args: &Args) -> Result<String, ArgError> {
 }
 
 fn link(args: &Args) -> Result<String, ArgError> {
-    args.ensure_known(&allowed(&["length-mm", "bits", "chip2chip", "watts"]))?;
     let tech = technology(args)?;
     let bits = args.u32_required("bits")?;
     if args.flag("chip2chip") {
@@ -335,13 +516,6 @@ fn link(args: &Args) -> Result<String, ArgError> {
 }
 
 fn central_buffer(args: &Args) -> Result<String, ArgError> {
-    args.ensure_known(&allowed(&[
-        "banks",
-        "rows",
-        "bits",
-        "read-ports",
-        "write-ports",
-    ]))?;
     let tech = technology(args)?;
     let banks = args.u32_required("banks")?;
     let rows = args.u32_required("rows")?;
@@ -375,8 +549,12 @@ fn central_buffer(args: &Args) -> Result<String, ArgError> {
 mod tests {
     use super::*;
 
+    fn toks(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
     fn run_line(line: &str) -> Result<String, ArgError> {
-        run(&Args::parse(line.split_whitespace().map(String::from)).unwrap()).map(|o| {
+        run(&toks(line)).map(|o| {
             assert_eq!(o.code, 0, "component reports exit with success");
             o.text
         })
@@ -454,5 +632,64 @@ mod tests {
         assert!(run_line("link --bits 32 --length-mm -1").is_err());
         assert!(run_line("crossbar --ports 5 --bits 32 --kind hexagon").is_err());
         assert!(run_line("buffer --flits 4 --bits 32 --node 45nm").is_err());
+    }
+
+    /// The tokens that name `command`, plus a placeholder positional
+    /// argument when its grammar takes one.
+    fn command_line(command: &Command) -> Vec<String> {
+        let mut line = toks(command.name);
+        line.extend(command.grammar.positional.map(|_| "spec.toml".to_string()));
+        line
+    }
+
+    #[test]
+    fn every_command_rejects_valueless_options_and_value_taking_flags() {
+        for command in COMMANDS {
+            for option in command.grammar.options {
+                let mut line = command_line(command);
+                line.push(format!("--{option}"));
+                let out = dispatch(&line);
+                assert_eq!(out.code, EXIT_BAD_INPUT, "{line:?} -> {}", out.text);
+                assert!(
+                    out.text.contains(&format!("--{option} requires a value")),
+                    "{line:?} -> {}",
+                    out.text
+                );
+            }
+            for flag in command.grammar.flags {
+                let mut line = command_line(command);
+                line.extend([format!("--{flag}"), "stray".to_string()]);
+                let out = dispatch(&line);
+                assert_eq!(out.code, EXIT_BAD_INPUT, "{line:?} -> {}", out.text);
+                assert!(out.text.starts_with("error:"), "{line:?} -> {}", out.text);
+            }
+        }
+    }
+
+    #[test]
+    fn usage_documents_every_option_and_flag() {
+        // `--name` must appear as a whole word: `--queue` is not
+        // documented by `--queue-patience-ms`.
+        let documented = |name: &str| {
+            let needle = format!("--{name}");
+            USAGE.match_indices(&needle).any(|(i, _)| {
+                !USAGE[i + needle.len()..]
+                    .starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-')
+            })
+        };
+        for command in COMMANDS {
+            for name in command.grammar.options.iter().chain(command.grammar.flags) {
+                assert!(
+                    documented(name),
+                    "USAGE omits --{name} of `{}`",
+                    command.name
+                );
+            }
+            assert!(
+                USAGE.contains(command.name),
+                "USAGE omits `{}`",
+                command.name
+            );
+        }
     }
 }

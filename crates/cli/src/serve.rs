@@ -6,130 +6,61 @@
 //!     --workers 4 --queue 8 --client-budget 100000
 //! ```
 //!
-//! Like `experiment`, this subcommand is dispatched on raw tokens
-//! before the option-only [`Args`](crate::args::Args) grammar. Exit
-//! codes follow the scheme in [`crate::run`]: 2 for bad arguments,
-//! 1 for bind/cache I/O failures (including a cache directory locked
-//! by another live run — for a daemon that is an operational conflict,
-//! not bad input), 3 when shutdown could not drain every in-flight
-//! request within `--drain-timeout-ms`, 0 for a clean drain.
+//! Exit codes follow the scheme in [`crate::run`]: 2 for bad
+//! arguments, 1 for bind/cache I/O failures (including a cache
+//! directory locked by another live run — for a daemon that is an
+//! operational conflict, not bad input), 3 when shutdown could not
+//! drain every in-flight request within `--drain-timeout-ms`, 0 for a
+//! clean drain.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
 use orion_serve::{signal, ServeConfig, Server};
 
-use crate::args::ArgError;
-use crate::run::{CmdOutput, EXIT_BAD_INPUT, EXIT_DEGRADED, EXIT_RUNTIME};
+use crate::args::{ArgError, Args};
+use crate::run::{CmdOutput, EXIT_DEGRADED, EXIT_RUNTIME};
 
-/// Usage fragment shown on `serve` argument errors.
-const SERVE_USAGE: &str = "usage: orion-power-cli serve [--addr HOST:PORT] [--cache-dir DIR] \
-     [--workers N] [--queue N] [--queue-patience-ms N] [--client-budget N] \
-     [--retries N] [--cell-timeout-ms N] [--drain-timeout-ms N] [--max-body-bytes N] \
-     [--checkpoint-every CYCLES] [--shards N]";
-
-fn parse_args(tokens: &[String]) -> Result<ServeConfig, ArgError> {
-    let mut config = ServeConfig {
-        addr: "127.0.0.1:7774".to_string(),
-        ..ServeConfig::default()
-    };
-    let mut it = tokens.iter();
-    let value = |it: &mut std::slice::Iter<String>, name: &str| -> Result<String, ArgError> {
-        it.next()
-            .filter(|v| !v.starts_with("--"))
-            .cloned()
-            .ok_or_else(|| ArgError(format!("--{name} requires a value")))
-    };
-    let int = |v: String, name: &str| -> Result<u64, ArgError> {
-        v.parse()
-            .map_err(|_| ArgError(format!("--{name} expects an integer, got `{v}`")))
-    };
-    while let Some(tok) = it.next() {
-        match tok.as_str() {
-            "--addr" => config.addr = value(&mut it, "addr")?,
-            "--cache-dir" => {
-                config.cache_dir = Some(PathBuf::from(value(&mut it, "cache-dir")?));
-            }
-            "--workers" => {
-                let n = int(value(&mut it, "workers")?, "workers")?;
-                if n == 0 {
-                    return Err(ArgError("--workers must be positive".into()));
-                }
-                config.workers = n as usize;
-            }
-            "--queue" => config.queue_depth = int(value(&mut it, "queue")?, "queue")? as usize,
-            "--queue-patience-ms" => {
-                config.queue_patience = Duration::from_millis(int(
-                    value(&mut it, "queue-patience-ms")?,
-                    "queue-patience-ms",
-                )?);
-            }
-            "--client-budget" => {
-                config.client_budget = int(value(&mut it, "client-budget")?, "client-budget")?;
-            }
-            "--retries" => {
-                let n = int(value(&mut it, "retries")?, "retries")?;
-                config.default_retries =
-                    u32::try_from(n).map_err(|_| ArgError("--retries out of range".to_string()))?;
-            }
-            "--cell-timeout-ms" => {
-                let ms = int(value(&mut it, "cell-timeout-ms")?, "cell-timeout-ms")?;
-                if ms == 0 {
-                    return Err(ArgError("--cell-timeout-ms must be positive".into()));
-                }
-                config.default_cell_timeout = Some(Duration::from_millis(ms));
-            }
-            "--drain-timeout-ms" => {
-                config.drain_timeout = Duration::from_millis(int(
-                    value(&mut it, "drain-timeout-ms")?,
-                    "drain-timeout-ms",
-                )?);
-            }
-            "--max-body-bytes" => {
-                config.max_body_bytes =
-                    int(value(&mut it, "max-body-bytes")?, "max-body-bytes")? as usize;
-            }
-            "--checkpoint-every" => {
-                config.checkpoint_every =
-                    int(value(&mut it, "checkpoint-every")?, "checkpoint-every")?;
-            }
-            "--shards" => {
-                let n = int(value(&mut it, "shards")?, "shards")?;
-                if n == 0 {
-                    return Err(ArgError("--shards must be positive".into()));
-                }
-                config.shards = n as usize;
-            }
-            opt => {
-                return Err(ArgError(format!(
-                    "unknown option `{opt}` for `serve`\n{SERVE_USAGE}"
-                )))
-            }
-        }
-    }
-    Ok(config)
+/// The daemon configuration `args` ask for: [`ServeConfig`]'s defaults
+/// except the address, which defaults to `127.0.0.1:7774`.
+fn config(args: &Args) -> Result<ServeConfig, ArgError> {
+    let d = ServeConfig::default();
+    Ok(ServeConfig {
+        addr: args.get("addr").unwrap_or("127.0.0.1:7774").to_string(),
+        cache_dir: args.get("cache-dir").map(PathBuf::from),
+        workers: args.positive("workers")?.unwrap_or(d.workers),
+        queue_depth: args.u64_or("queue", d.queue_depth as u64)? as usize,
+        queue_patience: args
+            .u64_opt("queue-patience-ms")?
+            .map_or(d.queue_patience, Duration::from_millis),
+        client_budget: args.u64_or("client-budget", d.client_budget)?,
+        default_retries: args.u32_or("retries", d.default_retries)?,
+        default_cell_timeout: args.positive_millis("cell-timeout-ms")?,
+        drain_timeout: args
+            .u64_opt("drain-timeout-ms")?
+            .map_or(d.drain_timeout, Duration::from_millis),
+        max_body_bytes: args.u64_or("max-body-bytes", d.max_body_bytes as u64)? as usize,
+        checkpoint_every: args.u64_or("checkpoint-every", d.checkpoint_every)?,
+        shards: args.positive("shards")?.unwrap_or(d.shards),
+    })
 }
 
-/// Executes `serve <tokens...>`: binds, installs signal handlers,
-/// serves until SIGTERM/SIGINT, drains, and maps the outcome onto the
-/// structured exit codes (never panics).
-pub fn execute(tokens: &[String]) -> CmdOutput {
-    let config = match parse_args(tokens) {
-        Ok(c) => c,
-        Err(e) => {
-            return CmdOutput {
-                text: format!("error: {e}\n"),
-                code: EXIT_BAD_INPUT,
-            }
-        }
-    };
+/// Executes `serve`: binds, installs signal handlers, serves until
+/// SIGTERM/SIGINT, drains, and maps the outcome onto the structured
+/// exit codes (never panics).
+///
+/// # Errors
+///
+/// Returns an [`ArgError`] for malformed or out-of-range options.
+pub fn execute(args: &Args) -> Result<CmdOutput, ArgError> {
+    let config = config(args)?;
     let server = match Server::bind(config.clone()) {
         Ok(s) => s,
         Err(e) => {
-            return CmdOutput {
-                text: format!("error: cannot start daemon on `{}`: {e}\n", config.addr),
-                code: EXIT_RUNTIME,
-            }
+            return Ok(CmdOutput::error(
+                EXIT_RUNTIME,
+                format_args!("cannot start daemon on `{}`: {e}", config.addr),
+            ))
         }
     };
     let addr = match server.local_addr() {
@@ -141,7 +72,7 @@ pub fn execute(tokens: &[String]) -> CmdOutput {
         "orion serve: listening on {addr}, protocol {} (SIGTERM/SIGINT to drain)",
         crate::run::SERVE_PROTOCOL_VERSION
     );
-    match server.run() {
+    Ok(match server.run() {
         Ok(outcome) if outcome.drained => CmdOutput::ok(format!(
             "orion serve: drained cleanly after {} requests\n",
             outcome.requests
@@ -154,19 +85,29 @@ pub fn execute(tokens: &[String]) -> CmdOutput {
             ),
             code: EXIT_DEGRADED,
         },
-        Err(e) => CmdOutput {
-            text: format!("error: daemon failed: {e}\n"),
-            code: EXIT_RUNTIME,
-        },
-    }
+        Err(e) => CmdOutput::error(EXIT_RUNTIME, format_args!("daemon failed: {e}")),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    use crate::run::EXIT_BAD_INPUT;
+
     fn tokens(s: &str) -> Vec<String> {
-        s.split_whitespace().map(str::to_string).collect()
+        std::iter::once("serve")
+            .chain(s.split_whitespace())
+            .map(str::to_string)
+            .collect()
+    }
+
+    fn parse_args(tokens: &[String]) -> Result<ServeConfig, ArgError> {
+        crate::run::parse(tokens).and_then(|(_, args)| config(&args))
+    }
+
+    fn execute(tokens: &[String]) -> CmdOutput {
+        crate::run::dispatch(tokens)
     }
 
     #[test]
@@ -193,7 +134,7 @@ mod tests {
 
     #[test]
     fn defaults_are_sane() {
-        let config = parse_args(&[]).unwrap();
+        let config = parse_args(&tokens("")).unwrap();
         assert_eq!(config.addr, "127.0.0.1:7774");
         assert_eq!(config.cache_dir, None);
         assert_eq!(config.client_budget, u64::MAX);

@@ -27,32 +27,6 @@ use crate::args::{ArgError, Args};
 use crate::powermap::POWERMAP_SCHEMA_VERSION;
 use crate::run::{CmdOutput, EXIT_DEGRADED, EXIT_RUNTIME, JSON_SCHEMA_VERSION};
 
-const OPTIONS: [&str; 23] = [
-    "preset",
-    "topology",
-    "shards",
-    "rate",
-    "seed",
-    "warmup",
-    "sample",
-    "max-cycles",
-    "watchdog-cycles",
-    "audit-every",
-    "fault-links",
-    "fault-rate",
-    "fault-ports",
-    "fault-seed",
-    "traffic",
-    "traffic-src",
-    "observe-dir",
-    "sample-every",
-    "trace-packets",
-    "checkpoint-every",
-    "checkpoint-file",
-    "resume-from",
-    "json",
-];
-
 /// Per-dimension radix ceiling for `--topology` (matches the design
 /// grammar's `MAX_RADIX`: keeps node counts, and therefore simulated
 /// state, within what one machine can hold).
@@ -192,18 +166,10 @@ fn traffic_pattern(
 ///
 /// # Errors
 ///
-/// Returns an [`ArgError`] for unknown options, malformed numbers and
-/// configurations the runner rejects ([`orion_core::ConfigError`]).
+/// Returns an [`ArgError`] for malformed numbers, invalid flag
+/// combinations and configurations the runner rejects
+/// ([`orion_core::ConfigError`]).
 pub fn simulate(args: &Args) -> Result<CmdOutput, ArgError> {
-    args.ensure_known(&OPTIONS)?;
-    // Every simulate option except `--json` takes a value; a trailing
-    // `--rate` (parsed as a flag) must not silently fall back to the
-    // default.
-    for name in OPTIONS.iter().filter(|n| **n != "json") {
-        if args.flag(name) {
-            return Err(ArgError(format!("--{name} requires a value")));
-        }
-    }
     let preset_name = args.get("preset").unwrap_or("vc16").to_string();
     let mut config = preset(&preset_name)?;
     if let Some(spec) = args.get("topology") {
@@ -337,13 +303,13 @@ pub fn simulate(args: &Args) -> Result<CmdOutput, ArgError> {
     };
     if let Some(dir) = &observe_dir {
         if let Err(e) = write_observations(dir, &config, &report) {
-            return Ok(CmdOutput {
-                text: format!(
-                    "error: cannot write observability artifacts under `{}`: {e}\n",
+            return Ok(CmdOutput::error(
+                EXIT_RUNTIME,
+                format_args!(
+                    "cannot write observability artifacts under `{}`: {e}",
                     dir.display()
                 ),
-                code: EXIT_RUNTIME,
-            });
+            ));
         }
     }
     let text = if args.flag("json") {
@@ -610,7 +576,8 @@ mod tests {
     use super::*;
 
     fn run_full(line: &str) -> Result<CmdOutput, ArgError> {
-        simulate(&Args::parse(line.split_whitespace().map(String::from)).unwrap())
+        let tokens: Vec<String> = line.split_whitespace().map(String::from).collect();
+        crate::run::run(&tokens)
     }
 
     fn run_line(line: &str) -> Result<String, ArgError> {

@@ -537,8 +537,7 @@ impl ResultCache {
     /// by cell key, via an atomic temp-file rename — healing torn and
     /// duplicate lines a killed run left behind. A no-op (returning
     /// `false`) when the file already matches. Also garbage-collects
-    /// checkpoint files of completed cells (see
-    /// [`gc_checkpoints`](Self::gc_checkpoints)).
+    /// checkpoint files of completed cells (see `gc_checkpoints`).
     ///
     /// # Errors
     ///

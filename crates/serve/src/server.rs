@@ -105,8 +105,9 @@ struct ServerState {
     cells_timed: AtomicU64,
 }
 
-/// A bound-but-not-yet-running daemon: inspect [`local_addr`]
-/// (Self::local_addr), take a [`ShutdownHandle`], then [`run`](Self::run).
+/// A bound-but-not-yet-running daemon: inspect
+/// [`local_addr`](Self::local_addr), take a [`ShutdownHandle`], then
+/// [`run`](Self::run).
 pub struct Server {
     listener: TcpListener,
     state: Arc<ServerState>,

@@ -11,8 +11,8 @@
 //! construction — the steady-state push/pop path never touches the
 //! allocator (the hot-loop contract of the allocation-free core; see
 //! docs/PERFORMANCE.md). The original `VecDeque`-backed implementation
-//! is preserved as [`reference::VecFlitFifo`], and a property test pins
-//! the ring observationally equivalent to it under arbitrary
+//! is preserved as the differential oracle in `tests/properties.rs`, which
+//! pins the ring observationally equivalent to it under arbitrary
 //! push/pop/peek sequences.
 //!
 //! **Bit-identity invariant**: the SRAM mirror (`slots`, `wr_ptr`,
@@ -268,140 +268,6 @@ impl<T> FlitFifo<T> {
     }
 }
 
-/// The pre-ring reference implementation, kept for differential
-/// property testing.
-pub mod reference {
-    use std::collections::VecDeque;
-
-    use orion_power::WriteActivity;
-
-    use crate::energy::scaled_hamming;
-
-    /// The original `VecDeque`-backed flit FIFO (v0.3.0 and earlier).
-    ///
-    /// Behaviourally identical to [`FlitFifo`](super::FlitFifo) — the
-    /// property suite in `tests/properties.rs` drives both with
-    /// arbitrary push/pop/peek sequences and asserts every observable
-    /// (contents, order, activities, bypass flags) matches. Not used by
-    /// the simulator.
-    #[derive(Debug, Clone)]
-    pub struct VecFlitFifo<T> {
-        queue: VecDeque<T>,
-        stored: VecDeque<bool>,
-        capacity: usize,
-        width: u32,
-        slots: Vec<u64>,
-        wr_ptr: usize,
-        last_bus: u64,
-    }
-
-    impl<T> VecFlitFifo<T> {
-        /// Creates an empty FIFO of `capacity` flits of `width` bits.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `capacity` or `width` is zero.
-        pub fn new(capacity: usize, width: u32) -> VecFlitFifo<T> {
-            assert!(capacity > 0, "fifo capacity must be positive");
-            assert!(width > 0, "flit width must be positive");
-            VecFlitFifo {
-                queue: VecDeque::with_capacity(capacity),
-                stored: VecDeque::with_capacity(capacity),
-                capacity,
-                width,
-                slots: vec![0; capacity],
-                wr_ptr: 0,
-                last_bus: 0,
-            }
-        }
-
-        /// Number of flits currently buffered.
-        pub fn len(&self) -> usize {
-            self.queue.len()
-        }
-
-        /// `true` when no flits are buffered.
-        pub fn is_empty(&self) -> bool {
-            self.queue.is_empty()
-        }
-
-        /// Free slots.
-        pub fn free(&self) -> usize {
-            self.capacity - self.queue.len()
-        }
-
-        /// The item at the head of the queue, if any.
-        pub fn head(&self) -> Option<&T> {
-            self.queue.front()
-        }
-
-        /// See [`FlitFifo::push`](super::FlitFifo::push).
-        ///
-        /// # Panics
-        ///
-        /// Panics if the FIFO is full.
-        pub fn push(&mut self, item: T, payload: u64) -> Option<WriteActivity> {
-            assert!(
-                self.queue.len() < self.capacity,
-                "fifo overflow: credit flow control violated"
-            );
-            if self.queue.is_empty() {
-                self.queue.push_back(item);
-                self.stored.push_back(false);
-                return None;
-            }
-            let new = payload;
-            let old_in_slot = self.slots[self.wr_ptr];
-            let activity = WriteActivity {
-                switching_bitlines: scaled_hamming(new, self.last_bus, self.width),
-                switching_cells: scaled_hamming(new, old_in_slot, self.width),
-            };
-            self.slots[self.wr_ptr] = new;
-            self.wr_ptr = (self.wr_ptr + 1) % self.capacity;
-            self.last_bus = new;
-            self.queue.push_back(item);
-            self.stored.push_back(true);
-            activity.into()
-        }
-
-        /// See [`FlitFifo::push_stored`](super::FlitFifo::push_stored).
-        ///
-        /// # Panics
-        ///
-        /// Panics if the FIFO is full.
-        pub fn push_stored(&mut self, item: T, payload: u64) -> WriteActivity {
-            assert!(
-                self.queue.len() < self.capacity,
-                "fifo overflow: credit flow control violated"
-            );
-            let new = payload;
-            let old_in_slot = self.slots[self.wr_ptr];
-            let activity = WriteActivity {
-                switching_bitlines: scaled_hamming(new, self.last_bus, self.width),
-                switching_cells: scaled_hamming(new, old_in_slot, self.width),
-            };
-            self.slots[self.wr_ptr] = new;
-            self.wr_ptr = (self.wr_ptr + 1) % self.capacity;
-            self.last_bus = new;
-            self.queue.push_back(item);
-            self.stored.push_back(true);
-            activity
-        }
-
-        /// See [`FlitFifo::pop`](super::FlitFifo::pop).
-        pub fn pop(&mut self) -> Option<(T, bool)> {
-            let item = self.queue.pop_front()?;
-            let stored = self.stored.pop_front().expect("stored flags in sync");
-            Some((item, stored))
-        }
-
-        /// Iterates over the buffered items from head to tail.
-        pub fn iter(&self) -> impl Iterator<Item = &T> {
-            self.queue.iter()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -529,46 +395,5 @@ mod tests {
         assert_eq!(fifo.head().unwrap().seq, 0);
         assert_eq!(fifo.len(), 2);
         assert_eq!(fifo.iter().count(), 2);
-    }
-
-    #[test]
-    fn ring_wraps_many_times_without_reordering() {
-        // Push/pop far past the capacity so head and write pointer wrap
-        // repeatedly; order and mirror state must track throughout.
-        let mut ring = FlitFifo::new(3, 64);
-        let mut reference = reference::VecFlitFifo::new(3, 64);
-        let fs = flits(8);
-        let mut next = 0usize;
-        for round in 0..50 {
-            if round % 3 != 2 && ring.free() > 0 {
-                let f = fs[next % fs.len()].clone();
-                next += 1;
-                let p = f.payload;
-                let a = ring.push(f.clone(), p);
-                let b = reference.push(f, p);
-                assert_eq!(a.is_some(), b.is_some());
-                if let (Some(a), Some(b)) = (a, b) {
-                    assert_eq!(a.switching_bitlines, b.switching_bitlines);
-                    assert_eq!(a.switching_cells, b.switching_cells);
-                }
-            } else {
-                let a = ring.pop();
-                let b = reference.pop();
-                match (a, b) {
-                    (Some((fa, sa)), Some((fb, sb))) => {
-                        assert_eq!(fa.payload, fb.payload);
-                        assert_eq!(fa.seq, fb.seq);
-                        assert_eq!(sa, sb);
-                    }
-                    (None, None) => {}
-                    other => panic!("ring/reference diverged: {other:?}"),
-                }
-            }
-            assert_eq!(ring.len(), reference.len());
-            assert_eq!(
-                ring.head().map(|f| f.payload),
-                reference.head().map(|f| f.payload)
-            );
-        }
     }
 }

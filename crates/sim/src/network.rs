@@ -186,7 +186,7 @@ struct CreditArrival {
 pub enum EngineMode {
     /// Activity-driven stepping: only routers holding buffered flits
     /// and sources with queued packets are visited, steered by the
-    /// [`Activity`] bitsets; a fully idle engine detects itself in
+    /// per-index activity bitsets; a fully idle engine detects itself in
     /// O(nodes/64) and can jump the clock over dead cycles (see
     /// [`Network::skip_idle_cycles`]). The default.
     #[default]
@@ -1221,8 +1221,8 @@ impl Network {
     /// (as if one was enqueued but never entered a queue). Exists so
     /// auditor tests can prove a leak is detected; never called by the
     /// engine.
-    #[doc(hidden)]
-    pub fn debug_leak_flit(&mut self) {
+    #[cfg(test)]
+    fn debug_leak_flit(&mut self) {
         self.audit_enqueued += 1;
     }
 
@@ -1230,8 +1230,8 @@ impl Network {
     /// corrupted flow-control channel would. On an idle network this
     /// pushes the credit count past the downstream depth, which the
     /// auditor must flag. Never called by the engine.
-    #[doc(hidden)]
-    pub fn debug_spurious_credit(&mut self, node: usize, port: usize, vc: usize) {
+    #[cfg(test)]
+    fn debug_spurious_credit(&mut self, node: usize, port: usize, vc: usize) {
         self.routers[node - self.lo].credit(port, vc);
     }
 
@@ -1239,8 +1239,8 @@ impl Network {
     /// stale active (if idle) or a lost wakeup (if busy). Exists so
     /// auditor tests can prove both directions of the active-set
     /// invariant are detected. Never called by the engine.
-    #[doc(hidden)]
-    pub fn debug_corrupt_router_activity(&mut self, node: usize) {
+    #[cfg(test)]
+    fn debug_corrupt_router_activity(&mut self, node: usize) {
         let li = node - self.lo;
         if self.activity.router_active(li) {
             self.activity.sleep_router(li);
@@ -1250,9 +1250,9 @@ impl Network {
     }
 
     /// Test hook: flip `node`'s source activity bit (see
-    /// [`Network::debug_corrupt_router_activity`]).
-    #[doc(hidden)]
-    pub fn debug_corrupt_source_activity(&mut self, node: usize) {
+    /// `debug_corrupt_router_activity`).
+    #[cfg(test)]
+    fn debug_corrupt_source_activity(&mut self, node: usize) {
         let li = node - self.lo;
         if self.activity.source_active(li) {
             self.activity.sleep_source(li);
