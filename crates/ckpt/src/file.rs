@@ -116,23 +116,22 @@ pub fn checkpoint_path(cache_dir: &Path, fingerprint: u64) -> PathBuf {
 
 /// Encodes a checkpoint into the framed byte form (shared by
 /// [`save_checkpoint`] and the tests that corrupt files surgically).
+///
+/// The frame is written into one buffer sized up front, so the
+/// network image is copied once, straight into its final place.
 pub fn encode_checkpoint(fingerprint: u64, ck: &RunCheckpoint) -> Vec<u8> {
-    let payload = ck.to_bytes();
-    let mut w = ByteWriter::new();
+    let payload_len = ck.encoded_len();
+    let mut w = ByteWriter::with_capacity(CKPT_MAGIC.len() + 4 + 8 + 8 + payload_len + 8);
     w.bytes(&CKPT_MAGIC);
     w.u32(CKPT_SCHEMA_VERSION);
     w.u64(fingerprint);
-    w.usize(payload.len());
-    w.bytes(&payload);
-    let checksum = {
-        let body = w.into_vec();
-        let sum = fnv1a64(&body);
-        let mut w = ByteWriter::new();
-        w.bytes(&body);
-        w.u64(sum);
-        w
-    };
-    checksum.into_vec()
+    w.usize(payload_len);
+    let start = w.len();
+    ck.encode(&mut w);
+    debug_assert_eq!(w.len() - start, payload_len, "encoded_len is exact");
+    let sum = fnv1a64(w.as_slice());
+    w.u64(sum);
+    w.into_vec()
 }
 
 /// Decodes framed checkpoint bytes, validating magic, version,
@@ -241,6 +240,60 @@ mod tests {
         assert_eq!(load_checkpoint(&path, 0xabcd).unwrap(), ck);
         assert!(!path.with_extension("ckpt.tmp").exists());
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// The framing as it was built before the one-buffer encoder: the
+    /// payload serialised on its own, framed into one writer, then
+    /// copied into a second writer for the checksum footer.
+    fn two_writer_framing(fingerprint: u64, ck: &RunCheckpoint) -> Vec<u8> {
+        let payload = ck.to_bytes();
+        let mut w = ByteWriter::new();
+        w.bytes(&CKPT_MAGIC);
+        w.u32(CKPT_SCHEMA_VERSION);
+        w.u64(fingerprint);
+        w.usize(payload.len());
+        w.bytes(&payload);
+        let body = w.into_vec();
+        let mut w = ByteWriter::new();
+        w.bytes(&body);
+        w.u64(fnv1a64(&body));
+        w.into_vec()
+    }
+
+    struct Capture(Option<RunCheckpoint>);
+
+    impl orion_core::RunHook for Capture {
+        fn every(&self) -> u64 {
+            100
+        }
+        fn on_checkpoint(&mut self, ck: &RunCheckpoint) -> orion_core::RunControl {
+            self.0 = Some(ck.clone());
+            orion_core::RunControl::Stop
+        }
+    }
+
+    #[test]
+    fn one_buffer_encoding_matches_two_writer_framing() {
+        let mut capture = Capture(None);
+        orion_core::Experiment::new(orion_core::presets::vc16_onchip())
+            .injection_rate(0.05)
+            .seed(3)
+            .warmup(150)
+            .sample_packets(150)
+            .shards(2)
+            .run_with_hook(&mut capture, None)
+            .expect("valid experiment");
+        let ck = capture.0.expect("hook captured a 2-shard checkpoint");
+        assert!(ck.net.len() > 1000, "a real network image");
+        let bytes = encode_checkpoint(0x5eed, &ck);
+        assert_eq!(bytes, two_writer_framing(0x5eed, &ck));
+        assert_eq!(bytes.len(), bytes.capacity(), "sized exactly up front");
+        assert_eq!(decode_checkpoint(&bytes, 0x5eed).unwrap(), ck);
+        let sample = sample();
+        assert_eq!(
+            encode_checkpoint(7, &sample),
+            two_writer_framing(7, &sample)
+        );
     }
 
     #[test]

@@ -54,6 +54,16 @@ fn run_experiment(
     out: &Path,
     failpoints: Option<&str>,
 ) -> std::process::Output {
+    run_experiment_sharded(spec, cache, out, failpoints, 1)
+}
+
+fn run_experiment_sharded(
+    spec: &Path,
+    cache: &Path,
+    out: &Path,
+    failpoints: Option<&str>,
+    shards: usize,
+) -> std::process::Output {
     let mut cmd = Command::new(BIN);
     cmd.args([
         "experiment",
@@ -65,6 +75,8 @@ fn run_experiment(
         out.to_str().unwrap(),
         "--checkpoint-every",
         "64",
+        "--shards",
+        &shards.to_string(),
         "--quiet",
     ]);
     cmd.env_remove("ORION_FAILPOINTS");
@@ -141,6 +153,44 @@ fn kill_at_checkpoint_boundary_resumes_to_byte_identical_artifacts() {
 
     // The cache proves a real mid-cell resume happened (the cache
     // line keeps provenance; artifacts deliberately strip it).
+    let cache_lines = fs::read_to_string(cache.join("orion-exp-cache.jsonl")).unwrap();
+    assert!(
+        has_resume_provenance(&cache_lines),
+        "no cached record carries resume provenance:\n{cache_lines}"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn threaded_two_shard_run_killed_at_checkpoint_resumes_to_byte_identical_artifacts() {
+    let dir = temp_dir("kill-resume-shards");
+    let spec = write_spec(&dir, "chaos-shards");
+
+    // The 2-shard baseline must itself match the single-engine run.
+    let mono = run_experiment(&spec, &dir.join("cache-m"), &dir.join("out-m"), None);
+    assert!(mono.status.success(), "mono baseline failed: {mono:?}");
+    let base = run_experiment_sharded(&spec, &dir.join("cache-a"), &dir.join("out-a"), None, 2);
+    assert!(base.status.success(), "2-shard baseline failed: {base:?}");
+    let (base_jsonl, base_csv) = artifacts(&dir.join("out-a"), "chaos-shards");
+    assert!(
+        artifacts(&dir.join("out-m"), "chaos-shards") == (base_jsonl.clone(), base_csv.clone()),
+        "2-shard artifacts differ from the single-engine run"
+    );
+
+    let cache = dir.join("cache-b");
+    let out = dir.join("out-b");
+    let killed = run_experiment_sharded(&spec, &cache, &out, Some("ckpt.write=kill@2"), 2);
+    assert!(
+        !killed.status.success(),
+        "the armed kill failpoint must abort the run"
+    );
+    assert!(newest_checkpoint(&cache).is_some());
+
+    let resumed = run_experiment_sharded(&spec, &cache, &out, None, 2);
+    assert!(resumed.status.success(), "resume failed: {resumed:?}");
+    let (jsonl, csv) = artifacts(&out, "chaos-shards");
+    assert_eq!(jsonl, base_jsonl, "resumed JSONL differs from baseline");
+    assert_eq!(csv, base_csv, "resumed CSV differs from baseline");
     let cache_lines = fs::read_to_string(cache.join("orion-exp-cache.jsonl")).unwrap();
     assert!(
         has_resume_provenance(&cache_lines),

@@ -81,7 +81,34 @@ impl RunCheckpoint {
     /// ([`RUN_CHECKPOINT_VERSION`]) and round-trips exactly through
     /// [`RunCheckpoint::from_bytes`].
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
+        let mut w = ByteWriter::with_capacity(self.encoded_len());
+        self.encode(&mut w);
+        w.into_vec()
+    }
+
+    /// The exact length of [`RunCheckpoint::to_bytes`], so a caller
+    /// framing the checkpoint can size its buffer once.
+    pub fn encoded_len(&self) -> usize {
+        let phase = match self.phase {
+            RunPhase::Warmup { .. } => 1 + 8,
+            RunPhase::Measure => 1,
+        };
+        // version, phase, cycle/measure_start/tagged_budget, the
+        // length-prefixed samples, the rng words, the length-prefixed
+        // cursors, trace cursor, auditor energy, the length-prefixed
+        // network image.
+        4 + phase
+            + 3 * 8
+            + 8 * (1 + self.backlog_samples.len())
+            + 4 * 8
+            + 8 * (1 + self.traffic_cursors.len())
+            + 2 * 8
+            + 8
+            + self.net.len()
+    }
+
+    /// Appends the [`RunCheckpoint::to_bytes`] encoding to `w`.
+    pub fn encode(&self, w: &mut ByteWriter) {
         w.u32(RUN_CHECKPOINT_VERSION);
         match self.phase {
             RunPhase::Warmup { done } => {
@@ -108,7 +135,6 @@ impl RunCheckpoint {
         w.f64(self.auditor_energy);
         w.usize(self.net.len());
         w.bytes(&self.net);
-        w.into_vec()
     }
 
     /// Decodes a checkpoint serialised by [`RunCheckpoint::to_bytes`].
@@ -273,6 +299,18 @@ mod tests {
             RunCheckpoint::from_bytes(&measure.to_bytes()).unwrap(),
             measure
         );
+    }
+
+    #[test]
+    fn encoded_len_is_exact_in_both_phases() {
+        let warmup = sample();
+        let measure = RunCheckpoint {
+            phase: RunPhase::Measure,
+            ..sample()
+        };
+        for ck in [warmup, measure] {
+            assert_eq!(ck.encoded_len(), ck.to_bytes().len(), "{:?}", ck.phase);
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! and reports whether the drain beat its deadline.
 
 use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -137,7 +137,6 @@ impl Server {
     /// holds the cache directory.
     pub fn bind(config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let runner = CellRunner::open(config.cache_dir.as_deref())?;
         let gate = AdmissionGate::new(config.workers, config.queue_depth, config.queue_patience);
         let budgets = BudgetBook::new(config.client_budget);
@@ -177,29 +176,34 @@ impl Server {
     /// Serves until SIGTERM/SIGINT or a [`ShutdownHandle`] fires, then
     /// drains and flushes. Blocks the calling thread.
     ///
+    /// The accept loop blocks in `accept`, so a request is picked up
+    /// as soon as it connects. A watcher thread polls the shutdown
+    /// flags every 5 ms and, once one is set, connects to the listener
+    /// to wake the loop.
+    ///
     /// # Errors
     ///
-    /// Accept-loop I/O errors other than `WouldBlock`; cache flush
-    /// errors at shutdown.
+    /// Accept-loop I/O errors; cache flush errors at shutdown.
     pub fn run(self) -> std::io::Result<ServeOutcome> {
         let Server { listener, state } = self;
-        while !shutdown_asked(&state) {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    state.open_connections.fetch_add(1, Ordering::SeqCst);
-                    let state = Arc::clone(&state);
-                    std::thread::spawn(move || {
-                        handle_connection(&state, stream);
-                        state.open_connections.fetch_sub(1, Ordering::SeqCst);
-                    });
+        let wake_addr = wake_address(listener.local_addr()?);
+        let accept_done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !accept_done.load(Ordering::SeqCst) {
+                    if shutdown_asked(&state) {
+                        // A failed connect means the listener is gone,
+                        // so the accept loop has already ended.
+                        let _ = TcpStream::connect(wake_addr);
+                        return;
+                    }
+                    std::thread::sleep(SHUTDOWN_POLL);
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
+            });
+            let accepted = accept_loop(&listener, &state);
+            accept_done.store(true, Ordering::SeqCst);
+            accepted
+        })?;
 
         // Drain: refuse new work, let running cells finish, give
         // in-flight streams a chance to emit their typed summary.
@@ -229,6 +233,41 @@ impl Server {
 
 fn shutdown_asked(state: &ServerState) -> bool {
     signal::shutdown_requested() || state.shutdown.load(Ordering::SeqCst)
+}
+
+/// How often the shutdown watcher in [`Server::run`] checks the flags;
+/// the bound on how long a shutdown request waits to be seen.
+const SHUTDOWN_POLL: Duration = Duration::from_millis(5);
+
+/// Accepts connections, one handler thread each, until a shutdown is
+/// asked. The connection that woke the loop for shutdown is dropped.
+fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) -> std::io::Result<()> {
+    while !shutdown_asked(state) {
+        match listener.accept() {
+            Ok(_) if shutdown_asked(state) => break,
+            Ok((stream, _peer)) => {
+                state.open_connections.fetch_add(1, Ordering::SeqCst);
+                let state = Arc::clone(state);
+                std::thread::spawn(move || {
+                    handle_connection(&state, stream);
+                    state.open_connections.fetch_sub(1, Ordering::SeqCst);
+                });
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Where the shutdown watcher connects to wake a listener bound at
+/// `bound`: the address itself, or loopback for a wildcard bind.
+fn wake_address(bound: SocketAddr) -> SocketAddr {
+    match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => (Ipv4Addr::LOCALHOST, bound.port()).into(),
+        IpAddr::V6(ip) if ip.is_unspecified() => (Ipv6Addr::LOCALHOST, bound.port()).into(),
+        _ => bound,
+    }
 }
 
 /// One connection = one request = one response, then close.
@@ -557,6 +596,37 @@ mod tests {
         // Fractional waits round up, never down to an optimistic retry.
         assert_eq!(retry_after_secs(5, 2, Duration::from_millis(500)), 2);
         assert_eq!(retry_after_secs(1, 4, Duration::from_millis(100)), 1);
+    }
+
+    #[test]
+    fn shutdown_ends_run_when_no_client_ever_connected() {
+        let server = Server::bind(ServeConfig::default()).expect("bind loopback");
+        let handle = server.shutdown_handle();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let daemon = std::thread::spawn(move || {
+            let _ = tx.send(server.run());
+        });
+        // Give `run` time to block in `accept`; the assertions hold
+        // whichever way the two threads interleave.
+        std::thread::sleep(Duration::from_millis(50));
+        handle.shutdown();
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("run returned after shutdown")
+            .expect("clean shutdown");
+        daemon.join().expect("daemon thread");
+        assert!(outcome.drained);
+        assert_eq!(outcome.requests, 0);
+    }
+
+    #[test]
+    fn wildcard_binds_wake_through_loopback() {
+        let v4: SocketAddr = "0.0.0.0:7780".parse().unwrap();
+        assert_eq!(wake_address(v4), "127.0.0.1:7780".parse().unwrap());
+        let v6: SocketAddr = "[::]:7780".parse().unwrap();
+        assert_eq!(wake_address(v6), "[::1]:7780".parse().unwrap());
+        let bound: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        assert_eq!(wake_address(bound), bound);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! the workspace keeps `forbid(unsafe_code)`).
 //!
 //! The handler only stores into an `AtomicBool` — async-signal-safe by
-//! construction. The accept loop polls [`shutdown_requested`] between
-//! accepts; nothing else ever needs to know a signal existed.
+//! construction. A watcher thread in `Server::run` polls
+//! [`shutdown_requested`] and wakes the blocking accept loop; nothing
+//! else ever needs to know a signal existed.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

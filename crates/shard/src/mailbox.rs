@@ -12,8 +12,9 @@
 //! Each slot is written by exactly one shard (the `src` of its pair),
 //! in that shard's deterministic intra-cycle emission order, and
 //! drained whole by exactly one shard (`dst`). The per-slot mutexes
-//! therefore never contend; they exist to make the grid `Sync` so a
-//! scoped thread per shard can send through a shared reference.
+//! therefore never contend; they exist to make the grid `Sync`, so the
+//! long-lived shard workers can share it through an `Arc` and send
+//! into it concurrently.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -102,6 +103,18 @@ impl MailGrid {
         std::mem::swap(&mut *slot, out);
     }
 
+    /// Poisons the mutex of the flit slot `dst` drains from `src` at
+    /// `cycle`, so that drain panics (a stand-in for any engine panic).
+    #[cfg(test)]
+    pub(crate) fn poison_flit_slot(&self, src: usize, dst: usize, cycle: u64) {
+        let slot = &self.flit_slots[self.index(src, dst, cycle)];
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = slot.lock();
+            panic!("poisoning a mailbox slot");
+        }));
+        assert!(slot.is_poisoned());
+    }
+
     /// Flits inside the grid. Meaningful only at a cycle barrier.
     pub fn in_transit(&self) -> u64 {
         self.in_transit.load(Ordering::Relaxed)
@@ -140,10 +153,12 @@ impl MailGrid {
     }
 
     /// Restores slot contents encoded by [`MailGrid::encode`],
-    /// replacing this grid's state. Message indices are validated
-    /// against `topology`; on error the grid must be discarded.
+    /// replacing this grid's state. Call it only at a cycle barrier
+    /// (the grid is shared with the shard workers, so this takes
+    /// `&self`). Message indices are validated against `topology`; on
+    /// error the grid must be discarded.
     pub fn restore(
-        &mut self,
+        &self,
         r: &mut ByteReader<'_>,
         topology: &Topology,
     ) -> Result<(), SnapshotError> {

@@ -10,6 +10,18 @@
 //! single-engine simulator for any shard count (see `docs/SCALING.md`
 //! for the argument, and this crate's tests for the proof by
 //! comparison).
+//!
+//! Threaded stepping uses long-lived workers, one per shard after the
+//! first, started on the first threaded [`ShardedNetwork::step`] and
+//! joined when the network drops. Each cycle the caller hands shards
+//! `1..N` to their workers over channels, steps shard 0 itself, and
+//! takes the cells back; every handoff wait spins briefly, then
+//! yields, then blocks, so a cycle costs no thread spawn and an idle
+//! network costs no CPU.
+
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use orion_net::{FaultSchedule, NodeId, TopologyKind};
 use orion_obs::{NodeState, ObsEvent, ObsSink};
@@ -51,12 +63,74 @@ impl ShardCell {
     }
 }
 
+/// Handoff waits poll this many times with a spin hint...
+const SPIN_POLLS: u32 = 256;
+/// ...then this many times with a `yield_now` in between, before
+/// blocking on the channel.
+const YIELD_POLLS: u32 = 64;
+
+/// Receives the next message, or `None` once the sender is gone. A
+/// message that arrives within the spin/yield window is taken without
+/// an OS wake-up; a longer wait blocks and burns no CPU.
+fn wait<T>(rx: &Receiver<T>) -> Option<T> {
+    for poll in 0..SPIN_POLLS + YIELD_POLLS {
+        match rx.try_recv() {
+            Ok(msg) => return Some(msg),
+            Err(TryRecvError::Disconnected) => return None,
+            Err(TryRecvError::Empty) if poll < SPIN_POLLS => std::hint::spin_loop(),
+            Err(TryRecvError::Empty) => std::thread::yield_now(),
+        }
+    }
+    rx.recv().ok()
+}
+
+/// A long-lived thread that steps one shard cell per cycle: it
+/// receives the cell and the cycle, runs [`ShardCell::step`], and
+/// sends the cell back.
+#[derive(Debug)]
+struct Worker {
+    jobs: SyncSender<(ShardCell, u64)>,
+    done: Receiver<ShardCell>,
+    handle: JoinHandle<()>,
+}
+
+impl Worker {
+    /// Starts the worker for shard `me`.
+    fn spawn(me: usize, grid: Arc<MailGrid>) -> Worker {
+        let (jobs, job_rx) = sync_channel::<(ShardCell, u64)>(1);
+        let (done_tx, done) = sync_channel(1);
+        let handle = std::thread::Builder::new()
+            .name(format!("orion-shard-{me}"))
+            .spawn(move || {
+                while let Some((mut cell, cycle)) = wait(&job_rx) {
+                    cell.step(me, &grid, cycle);
+                    if done_tx.send(cell).is_err() {
+                        break;
+                    }
+                }
+            })
+            .expect("spawn shard worker thread");
+        Worker { jobs, done, handle }
+    }
+
+    /// Closes both channels and joins the thread. A worker still
+    /// stepping finishes its cycle, fails to hand the cell back and
+    /// exits.
+    fn join(self) -> std::thread::Result<()> {
+        let Worker { jobs, done, handle } = self;
+        drop((jobs, done));
+        handle.join()
+    }
+}
+
 /// A network partitioned across shard engines, bit-identical to a
 /// single [`Network`] built from the same spec.
 #[derive(Debug)]
 pub struct ShardedNetwork {
+    /// The shard cells in shard order. Between steps this holds every
+    /// shard; during a threaded step only shard 0 stays here.
     cells: Vec<ShardCell>,
-    grid: MailGrid,
+    grid: Arc<MailGrid>,
     plan: ShardPlan,
     spec: NetworkSpec,
     /// The single global packet-id sequence, threaded through
@@ -66,6 +140,8 @@ pub struct ShardedNetwork {
     /// events are replayed into it in canonical order.
     obs: Option<Box<ObsSink>>,
     parallel: bool,
+    /// Workers for shards `1..`, started by the first threaded step.
+    workers: Vec<Worker>,
 }
 
 impl ShardedNetwork {
@@ -103,12 +179,13 @@ impl ShardedNetwork {
             .collect();
         ShardedNetwork {
             cells,
-            grid: MailGrid::new(shards),
+            grid: Arc::new(MailGrid::new(shards)),
             plan,
             spec,
             next_packet: 0,
             obs: None,
             parallel: shards > 1 && std::thread::available_parallelism().is_ok_and(|n| n.get() > 1),
+            workers: Vec::new(),
         }
     }
 
@@ -127,7 +204,7 @@ impl ShardedNetwork {
         &self.spec
     }
 
-    /// Whether [`ShardedNetwork::step`] runs shards on scoped threads.
+    /// Whether [`ShardedNetwork::step`] runs shards on worker threads.
     /// Either mode is bit-identical; threading only changes wall-clock
     /// time. Defaults to `true` when there is more than one shard and
     /// the host has more than one CPU.
@@ -202,21 +279,55 @@ impl ShardedNetwork {
     /// events. The return from this method is the inter-shard barrier:
     /// all boundary traffic produced this cycle sits in the mailboxes,
     /// due at `cycle + 1` (credits) or `cycle + 2` (flits).
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic from any shard's engine, threaded or not;
+    /// the network must then be dropped. A step after a worker's
+    /// panic panics: that worker's shard is gone.
     pub fn step(&mut self) {
+        assert_eq!(
+            self.cells.len(),
+            self.plan.shards(),
+            "a shard worker panicked in an earlier step; the network must be dropped"
+        );
         let cycle = self.cycle();
-        let grid = &self.grid;
         if self.parallel && self.cells.len() > 1 {
-            std::thread::scope(|s| {
-                for (me, cell) in self.cells.iter_mut().enumerate() {
-                    s.spawn(move || cell.step(me, grid, cycle));
-                }
-            });
+            self.step_threaded(cycle);
         } else {
             for (me, cell) in self.cells.iter_mut().enumerate() {
-                cell.step(me, grid, cycle);
+                cell.step(me, &self.grid, cycle);
             }
         }
         self.replay_obs();
+    }
+
+    /// One cycle with shards `1..` on their workers and shard 0 on the
+    /// calling thread. Cells come back in shard order.
+    fn step_threaded(&mut self, cycle: u64) {
+        if self.workers.is_empty() {
+            self.workers = (1..self.cells.len())
+                .map(|me| Worker::spawn(me, Arc::clone(&self.grid)))
+                .collect();
+        }
+        for (worker, cell) in self.workers.iter().zip(self.cells.drain(1..)) {
+            worker
+                .jobs
+                .send((cell, cycle))
+                .expect("shard workers live as long as the network");
+        }
+        self.cells[0].step(0, &self.grid, cycle);
+        for i in 0..self.workers.len() {
+            match wait(&self.workers[i].done) {
+                Some(cell) => self.cells.push(cell),
+                // The worker dropped its sender while unwinding: raise
+                // its panic here. `Drop` joins the other workers.
+                None => match self.workers.remove(i).join() {
+                    Err(payload) => std::panic::resume_unwind(payload),
+                    Ok(()) => panic!("shard worker exited while holding its cell"),
+                },
+            }
+        }
     }
 
     /// Replays each shard's recorded events into the master sink in
@@ -629,10 +740,104 @@ impl ShardedNetwork {
     }
 }
 
+impl Drop for ShardedNetwork {
+    fn drop(&mut self) {
+        for worker in self.workers.drain(..) {
+            // A worker's panic was already raised by `step`.
+            let _ = worker.join();
+        }
+    }
+}
+
 /// The snapshot tag of a topology kind.
 fn topology_kind_tag(kind: TopologyKind) -> u8 {
     match kind {
         TopologyKind::Torus => 0,
         TopologyKind::Mesh => 1,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use orion_net::{DimensionOrder, Topology};
+    use orion_power::{
+        ArbiterKind, ArbiterParams, ArbiterPower, BufferParams, BufferPower, CrossbarKind,
+        CrossbarParams, CrossbarPower, LinkPower,
+    };
+    use orion_sim::{RouterKind, VcRouterSpec};
+    use orion_tech::{Microns, ProcessNode, Technology};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    fn network(shards: usize) -> ShardedNetwork {
+        let tech = Technology::new(ProcessNode::Nm100);
+        let crossbar =
+            CrossbarPower::new(&CrossbarParams::new(CrossbarKind::Matrix, 5, 5, 64), tech)
+                .expect("valid crossbar");
+        let arbiter = ArbiterPower::new(&ArbiterParams::new(ArbiterKind::Matrix, 5), tech)
+            .expect("valid arbiter")
+            .with_control_energy(crossbar.control_energy());
+        let models = PowerModels {
+            flit_bits: 64,
+            buffer: BufferPower::new(&BufferParams::new(16, 64), tech).expect("valid buffer"),
+            crossbar,
+            arbiter,
+            link: LinkPower::on_chip(Microns::from_mm(3.0), 64, tech),
+            central: None,
+        };
+        let spec = NetworkSpec {
+            topology: Topology::torus(&[4, 4]).expect("valid torus"),
+            router: RouterKind::Vc(VcRouterSpec::virtual_channel(5, 2, 8, 64)),
+            packet_len: 5,
+            dim_order: DimensionOrder::YFirst,
+        };
+        let mut net = ShardedNetwork::new(spec, models, shards);
+        net.set_parallel(true);
+        net
+    }
+
+    #[test]
+    fn worker_panic_reaches_the_caller_and_a_fresh_network_still_works() {
+        let mut net = network(2);
+        net.enqueue_packet(NodeId(0), NodeId(15), true);
+        net.step();
+        assert_eq!(
+            net.workers.len(),
+            1,
+            "the first threaded step starts the worker"
+        );
+        // Shard 1 drains this slot this cycle, on its worker thread;
+        // shard 0, on the caller's thread, never touches it.
+        net.grid.poison_flit_slot(0, 1, net.cycle());
+        let payload = catch_unwind(AssertUnwindSafe(|| net.step()))
+            .expect_err("the worker's panic reaches the caller");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(
+            message.contains("poisoned mailbox"),
+            "the worker's own panic is re-raised, got {message:?}"
+        );
+        assert!(
+            catch_unwind(AssertUnwindSafe(|| net.step())).is_err(),
+            "a network that lost a cell refuses to step"
+        );
+        drop(net);
+
+        let mut fresh = network(2);
+        for node in 0..16 {
+            fresh.enqueue_packet(NodeId(node), NodeId(15 - node), true);
+        }
+        for _ in 0..2_000 {
+            if fresh.is_drained() {
+                break;
+            }
+            fresh.step();
+        }
+        assert!(fresh.is_drained());
+        assert_eq!(fresh.packets_delivered(), 16);
+        assert!(fresh.audit().is_empty());
     }
 }

@@ -304,3 +304,48 @@ fn snapshot_from_other_shard_count_is_typed_mismatch() {
         other => panic!("expected shard-count mismatch, got {other:?}"),
     }
 }
+
+/// Injects `cycles` cycles of [`Lcg`] traffic, two packets a cycle.
+fn inject<E: Engine>(net: &mut E, rng: &mut Lcg, cycles: u64) {
+    for _ in 0..cycles {
+        for _ in 0..2 {
+            let src = (rng.next() as usize) % 16;
+            let dst = (rng.next() as usize) % 16;
+            net.enqueue(NodeId(src), NodeId(dst), true);
+        }
+        net.step_once();
+    }
+}
+
+#[test]
+fn threaded_restore_into_stepped_network_matches_mono() {
+    let radices = [4u32, 4];
+    for shards in [2, 8] {
+        let mut mono = Network::new(spec(&radices, 2), models(5));
+        let mut original = ShardedNetwork::new(spec(&radices, 2), models(5), shards);
+        original.set_parallel(true);
+        let (mut mono_rng, mut rng) = (Lcg(31), Lcg(31));
+        inject(&mut mono, &mut mono_rng, 60);
+        inject(&mut original, &mut rng, 60);
+        let image = original.snapshot();
+        drop(original);
+
+        // The target's workers are running and its state is unrelated
+        // to the image; restore must replace all of it.
+        let mut target = ShardedNetwork::new(spec(&radices, 2), models(5), shards);
+        target.set_parallel(true);
+        inject(&mut target, &mut Lcg(99), 25);
+        target.restore(&image).expect("restore");
+
+        inject(&mut mono, &mut mono_rng, 60);
+        inject(&mut target, &mut rng, 60);
+        let mut guard = 0;
+        while !mono.is_drained() || !target.is_drained() {
+            mono.step();
+            target.step();
+            guard += 1;
+            assert!(guard < 20_000, "drain did not converge");
+        }
+        assert_identical(&mono, &target);
+    }
+}

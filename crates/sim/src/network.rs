@@ -519,6 +519,10 @@ pub struct Network {
     fault_schedule: Option<FaultSchedule>,
     /// wires[node * ports + out_port]; None for the local port.
     wires: Vec<Option<Wire>>,
+    /// upstream[node * ports + in_port] = (upstream node, its output
+    /// port): where a credit freed at that input returns. None for the
+    /// local port and unwired mesh edges.
+    upstream: Vec<Option<(usize, usize)>>,
     /// Monotone audit counters, never reset (unlike [`SimStats`], which
     /// rewinds at the warm-up boundary): flits ever handed to a source
     /// queue, ever ejected at a sink, ever dropped at injection. Flit
@@ -605,6 +609,7 @@ impl Network {
             })
             .collect();
         let mut wires = vec![None; n * ports];
+        let mut upstream = vec![None; n * ports];
         for node in spec.topology.nodes() {
             for idx in 1..ports {
                 let port = Port::from_index(idx, spec.topology.dims() as u8);
@@ -628,6 +633,9 @@ impl Network {
                         dim,
                         wraparound,
                     });
+                    // Read as an input port, `idx` faces `nb`, which
+                    // sends through the opposite port.
+                    upstream[node.0 * ports + idx] = Some((nb.0, dest_in_port));
                 }
             }
         }
@@ -663,6 +671,7 @@ impl Network {
             last_credit: 0,
             fault_schedule: None,
             wires,
+            upstream,
             audit_enqueued: 0,
             audit_ejected: 0,
             audit_dropped: 0,
@@ -1698,28 +1707,14 @@ impl Network {
                 if let Some(obs) = self.obs.as_deref_mut() {
                     obs.credit_returned();
                 }
-                // The upstream router sits in the direction of this
-                // input port; its output port is the opposite one.
-                let port = Port::from_index(credit.in_port, self.spec.topology.dims() as u8);
-                let Port::Dir { dim, dir } = port else {
-                    unreachable!("non-zero input ports are directional")
-                };
-                let upstream = self
-                    .spec
-                    .topology
-                    .neighbor(NodeId(node), dim as usize, dir)
+                let (upstream, out_port) = self.upstream[node * ports + credit.in_port]
                     .expect("torus/mesh wiring exists for used ports");
-                let out_port = Port::Dir {
-                    dim,
-                    dir: dir.opposite(),
-                }
-                .index();
-                if upstream.0 < self.lo || upstream.0 >= self.hi {
+                if upstream < self.lo || upstream >= self.hi {
                     io.send_credit(
-                        self.shard_of(upstream.0),
+                        self.shard_of(upstream),
                         cycle + 1,
                         CreditMsg {
-                            dest: upstream.0,
+                            dest: upstream,
                             out_port,
                             vc: credit.vc,
                         },
@@ -1729,7 +1724,7 @@ impl Network {
                 self.credit_wheel.schedule(
                     cycle + 1,
                     CreditArrival {
-                        dest: upstream.0,
+                        dest: upstream,
                         out_port,
                         vc: credit.vc,
                     },

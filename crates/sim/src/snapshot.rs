@@ -78,6 +78,13 @@ impl ByteWriter {
         ByteWriter::default()
     }
 
+    /// Creates an empty writer with room for `capacity` bytes.
+    pub fn with_capacity(capacity: usize) -> ByteWriter {
+        ByteWriter {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Appends one byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -133,6 +140,11 @@ impl ByteWriter {
     /// `true` when nothing has been written.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
+    }
+
+    /// The bytes written so far.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.buf
     }
 
     /// Consumes the writer, returning the payload.
